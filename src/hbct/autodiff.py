@@ -18,16 +18,10 @@ from __future__ import annotations
 import math
 
 from .errors import InvalidArgumentError, NumericalDomainError
-
 # Same domain policy as the manifold module: clamp into the closed domain with
-# 1e-12 slack, raise beyond 1e-6.  acosh additionally snaps arguments within
-# ACOSH_SNAP above 1 to exactly 1, since round-off there would otherwise be
-# amplified to sqrt(2 * eps) in the primal (self-distances would not vanish).
-CLAMP_SLACK = 1e-12
-DOMAIN_TOL = 1e-6
-ACOSH_SNAP = 1e-9
-
-_OPS = {}
+# CLAMP_SLACK, raise beyond DOMAIN_TOL, snap acosh arguments within ACOSH_SNAP
+# above 1 to exactly 1.
+from .manifold import ACOSH_SNAP, CLAMP_SLACK, DOMAIN_TOL
 
 
 class Tape:
@@ -331,37 +325,6 @@ def asinh(x):
     if not isinstance(x, Var):
         return math.asinh(float(x))
     return log(add(x, sqrt(add(mul(x, x), 1.0))))
-
-
-_OPS.update(
-    {
-        "add": add,
-        "sub": sub,
-        "mul": mul,
-        "div": div,
-        "neg": neg,
-        "exp": exp,
-        "log": log,
-        "sqrt": sqrt,
-        "tanh": tanh,
-        "cosh": cosh,
-        "sinh": sinh,
-        "acosh": acosh,
-        "asin": asin,
-        "acos": acos,
-        "pow": powr,
-        "max0": max0,
-        "dot": dot,
-        "norm": norm,
-    }
-)
-
-
-def record(op, *args):
-    """Functional entry point: record(op_name, args...) -> Var or float."""
-    if op not in _OPS:
-        raise InvalidArgumentError(f"unknown op {op!r}")
-    return _OPS[op](*args)
 
 
 def backward(tape, output):

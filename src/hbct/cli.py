@@ -18,7 +18,7 @@ from .errors import (DegenerateBaselineError, InvalidArgumentError,
                      NumericalDomainError, TrainingFailureError)
 from .evaluation import evaluate_metric, load_embedding_set
 from .scenarios import (generate_dataset, load_dataset, run_matrix, run_scenario,
-                        run_sweep, save_dataset, write_matrix_table)
+                        run_sweep, save_dataset)
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -96,7 +96,11 @@ def _cmd_train_old(args):
 def _cmd_train_new(args):
     cfg = _load_cfg(args.config)
     ds = load_dataset(args.data)
-    old_model, _, _, _ = load_checkpoint(args.old)
+    old_model, _, K, zeta = load_checkpoint(args.old)
+    want = (cfg.manifold.curvature_K, cfg.clip.zeta(old_model.generation_tag))
+    if (K, zeta) != want:
+        raise InvalidArgumentError(f"old checkpoint has curvature_K = {K}, zeta = {zeta}; "
+                                   f"the config gives {want[0]}, {want[1]}")
     model, head, losses = train_new(ds.train_X, ds.train_y, ds.num_classes,
                                     old_model, cfg.alignment, cfg.manifold,
                                     cfg.clip, cfg.train, arch=cfg.scenario.new_arch,
@@ -130,7 +134,11 @@ def _cmd_matrix(args):
 
 def _cmd_sweep(args):
     cfg = _load_cfg(args.config)
-    lambdas = [float(v) for v in args.lambdas.split(",")]
+    try:
+        lambdas = [float(v) for v in args.lambdas.split(",")]
+    except ValueError:
+        raise InvalidArgumentError(f"--lambdas must be comma-separated numbers, "
+                                   f"got {args.lambdas!r}") from None
     rows = run_sweep(cfg, lambdas, metric=args.metric)
     header = f"{'lambda':>8} {'self':>8} {'cross':>8} {'p_com':>8}"
     lines = [header] + [f"{lam:8.3f} {s:8.4f} {c:8.4f} {pc:8.4f}"

@@ -31,21 +31,25 @@ def _fmt(value):
     return str(value)
 
 
-def _coerce(text, like):
+def _coerce(key, text, like):
     if isinstance(like, bool):
         if text.lower() in ("true", "1", "yes"):
             return True
         if text.lower() in ("false", "0", "no"):
             return False
-        raise InvalidArgumentError(f"expected boolean, got {text!r}")
-    if isinstance(like, int):
-        return int(text)
-    if isinstance(like, float):
-        return float(text)
-    if isinstance(like, (tuple, list)):
-        if text.strip() == "":
-            return ()
-        return tuple(int(v) for v in text.split(","))
+        raise InvalidArgumentError(f"{key}: expected boolean, got {text!r}")
+    try:
+        if isinstance(like, int):
+            return int(text)
+        if isinstance(like, float):
+            return float(text)
+        if isinstance(like, (tuple, list)):
+            if text.strip() == "":
+                return ()
+            return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise InvalidArgumentError(
+            f"{key}: expected {type(like).__name__} value(s), got {text!r}") from None
     return text
 
 
@@ -79,10 +83,10 @@ def parse(text: str) -> ExperimentConfig:
         for name in cls.__dataclass_fields__:
             key = f"{section}.{name}"
             if key in values:
-                sec_kwargs[name] = _coerce(values.pop(key), getattr(sec_default, name))
+                sec_kwargs[name] = _coerce(key, values.pop(key), getattr(sec_default, name))
         kwargs[section] = cls(**{**_asdict_shallow(sec_default), **sec_kwargs})
     output_dir = values.pop("output_dir", defaults.output_dir)
-    seeds = (_coerce(values.pop("seeds"), defaults.seeds)
+    seeds = (_coerce("seeds", values.pop("seeds"), defaults.seeds)
              if "seeds" in values else defaults.seeds)
     if values:
         raise InvalidArgumentError(f"unknown config keys: {sorted(values)}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,8 @@ from . import autodiff as ad
 from .autodiff import Tape
 from .errors import InvalidArgumentError, TrainingFailureError, NumericalDomainError
 from .losses import AlignmentConfig, MlrHead, hexpm_origin, total_loss
-from .manifold import LorentzPoint, ManifoldConfig, expm_origin, rescale_clip
+from .manifold import (DEGENERATE_NORM, ManifoldConfig, expm_origin, expm_origin_rows,
+                       rescale_clip, rescale_clip_rows, uncertainty_rows)
 
 CHECKPOINT_MAGIC = b"HBCT"
 CHECKPOINT_VERSION = 1
@@ -123,20 +124,10 @@ def embed_batch(model: EncoderModel, X, policy: ClipPolicy, mcfg: ManifoldConfig
 
     Returns (Z, times, spaces, uncertainties); spaces has shape (N, d).
     """
-    X = np.asarray(X, dtype=np.float64)
-    Z = model.forward(X) / math.sqrt(mcfg.dim_d)
-    zeta = policy.zeta(model.generation_tag)
-    norms = np.linalg.norm(Z, axis=1)
-    over = norms > zeta
-    Z[over] *= (zeta / norms[over])[:, None]
-    sqrt_K = math.sqrt(mcfg.curvature_K)
-    r = np.linalg.norm(Z, axis=1)
-    a = sqrt_K * r
-    times = np.cosh(a) / sqrt_K
-    coeff = np.where(a < 1e-8, 1.0, np.sinh(a) / np.where(a == 0, 1.0, a))
-    spaces = coeff[:, None] * Z
-    unc = 1.0 - np.linalg.norm(spaces, axis=1) / (sqrt_K * times)
-    return Z, times, spaces, unc
+    Z = rescale_clip_rows(model.forward(np.asarray(X, dtype=np.float64)),
+                          policy.zeta(model.generation_tag), mcfg)
+    times, spaces = expm_origin_rows(Z, mcfg)
+    return Z, times, spaces, uncertainty_rows(times, spaces, mcfg)
 
 
 # ---------------------------------------------------------------------------
@@ -150,17 +141,6 @@ def _vars_from(tape: Tape, arrays):
         else:
             nested.append([[tape.var(v) for v in row] for row in a])
     return nested
-
-
-def _leaf_list(nested):
-    out = []
-    for a in nested:
-        if a and isinstance(a[0], list):
-            for row in a:
-                out.extend(row)
-        else:
-            out.extend(a)
-    return out
 
 
 def _grads_like(adj, nested, arrays):
@@ -308,10 +288,10 @@ def mlr_logits_batch(head: np.ndarray, spaces: np.ndarray, mcfg: ManifoldConfig)
     """Vectorized MLR logits for rows of hyperboloid space coordinates."""
     sqrt_K = math.sqrt(mcfg.curvature_K)
     wn = np.linalg.norm(head, axis=1)
-    safe = np.where(wn < 1e-12, 1.0, wn)
+    safe = np.where(wn < DEGENERATE_NORM, 1.0, wn)
     s = spaces @ head.T
     logits = (safe / sqrt_K) * np.arcsinh(sqrt_K * s / safe)
-    logits[:, wn < 1e-12] = 0.0
+    logits[:, wn < DEGENERATE_NORM] = 0.0
     return logits
 
 
@@ -324,16 +304,18 @@ def classification_accuracy(model, head, X, y, policy, mcfg):
 # ---------------------------------------------------------------------------
 # Checkpoint container (exact byte layout documented in the README)
 
+# magic, version, kind, generation, K, zeta, layer count, class count
+_CKPT_HEADER = struct.Struct("<4sIIiddII")
+
+
 def save_checkpoint(path, model: EncoderModel, head, mcfg: ManifoldConfig,
                     policy: ClipPolicy):
     head = np.asarray(head, dtype=np.float64)
     zeta = policy.zeta(model.generation_tag)
     with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<IIi", CHECKPOINT_VERSION, KIND_MODEL,
-                            model.generation_tag))
-        f.write(struct.pack("<dd", mcfg.curvature_K, zeta))
-        f.write(struct.pack("<II", len(model.layers), head.shape[0]))
+        f.write(_CKPT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, KIND_MODEL,
+                                  model.generation_tag, mcfg.curvature_K, zeta,
+                                  len(model.layers), head.shape[0]))
         for W, _ in model.layers:
             f.write(struct.pack("<II", W.shape[1], W.shape[0]))
         for W, b in model.layers:
@@ -346,19 +328,25 @@ def load_checkpoint(path):
     """Returns (model, head, curvature_K, zeta)."""
     with open(path, "rb") as f:
         data = f.read()
-    if data[:4] != CHECKPOINT_MAGIC:
-        raise InvalidArgumentError("not an HBCT checkpoint (bad magic)")
-    version, kind, generation = struct.unpack_from("<IIi", data, 4)
+    if len(data) < _CKPT_HEADER.size or data[:4] != CHECKPOINT_MAGIC:
+        raise InvalidArgumentError("not an HBCT checkpoint (bad magic or short header)")
+    _, version, kind, generation, K, zeta, n_layers, n_classes = \
+        _CKPT_HEADER.unpack_from(data)
     if version != CHECKPOINT_VERSION or kind != KIND_MODEL:
         raise InvalidArgumentError(f"unsupported checkpoint version/kind {version}/{kind}")
-    K, zeta = struct.unpack_from("<dd", data, 16)
-    n_layers, n_classes = struct.unpack_from("<II", data, 32)
-    off = 40
-    dims = []
-    for _ in range(n_layers):
-        in_d, out_d = struct.unpack_from("<II", data, off)
-        dims.append((in_d, out_d))
-        off += 8
+    off = _CKPT_HEADER.size
+    if n_layers == 0 or len(data) < off + 8 * n_layers:
+        raise InvalidArgumentError(f"checkpoint layer table of {n_layers} layers is "
+                                   f"empty or truncated")
+    dims = [struct.unpack_from("<II", data, off + 8 * i) for i in range(n_layers)]
+    off += 8 * n_layers
+    if any(out_d != in_d for (_, out_d), (in_d, _) in zip(dims, dims[1:])):
+        raise InvalidArgumentError(f"checkpoint layer shapes {dims} do not chain")
+    d = dims[-1][1]
+    expected = off + 8 * sum(out_d * (in_d + 1) for in_d, out_d in dims) + 8 * n_classes * d
+    if len(data) != expected:
+        raise InvalidArgumentError(f"checkpoint is {len(data)} bytes, its header "
+                                   f"implies {expected}")
     layers = []
     for in_d, out_d in dims:
         W = np.frombuffer(data, "<f8", in_d * out_d, off).reshape(out_d, in_d).copy()
@@ -366,7 +354,6 @@ def load_checkpoint(path):
         b = np.frombuffer(data, "<f8", out_d, off).copy()
         off += 8 * out_d
         layers.append((W, b))
-    d = dims[-1][1]
     head = np.frombuffer(data, "<f8", n_classes * d, off).reshape(n_classes, d).copy()
     model = EncoderModel(layers, generation_tag=generation)
     return model, head, K, zeta

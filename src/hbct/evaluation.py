@@ -22,6 +22,9 @@ from .manifold import LorentzPoint
 STORE_MAGIC = b"HBCT"
 STORE_VERSION = 1
 _GEOMETRIES = ("euclidean", "lorentz")
+# magic, version, geometry index, row count N, row width W, curvature K, generation
+_STORE_HEADER = struct.Struct("<4sIIIIdi")
+_INT32 = np.iinfo(np.int32)
 
 
 @dataclass
@@ -188,7 +191,7 @@ class CompatReport:
 
 def evaluate_metric(queries: EmbeddingSet, gallery: EmbeddingSet, metric: str) -> float:
     """metric is 'cmc@<k>' or 'map'."""
-    if metric.startswith("cmc@"):
+    if metric.startswith("cmc@") and metric[4:].isdecimal():
         return cmc_at_k(queries, gallery, int(metric[4:]))
     if metric == "map":
         return mean_average_precision(queries, gallery)
@@ -227,33 +230,40 @@ def compatibility_matrix(embeddings, star_embeddings, metric: str) -> np.ndarray
 # ---------------------------------------------------------------------------
 # Embedding store file (byte layout documented in the README)
 
+def _record_dtype(width):
+    """One store record: W float64 coordinates then an int32 label, packed."""
+    return np.dtype([("x", "<f8", (width,)), ("y", "<i4")])
+
+
 def save_embedding_set(path, es: EmbeddingSet):
-    geom = _GEOMETRIES.index(es.geometry)
     count, width = es.points.shape
+    if count and (es.labels.min() < _INT32.min or es.labels.max() > _INT32.max):
+        raise InvalidArgumentError("labels must fit in int32 to be stored")
+    records = np.empty(count, _record_dtype(width))
+    records["x"] = es.points
+    records["y"] = es.labels
     with open(path, "wb") as f:
-        f.write(STORE_MAGIC)
-        f.write(struct.pack("<IIII", STORE_VERSION, geom, count, width))
-        f.write(struct.pack("<di", es.curvature_K, es.generation_tag))
-        for row, label in zip(es.points, es.labels):
-            f.write(row.astype("<f8").tobytes())
-            f.write(struct.pack("<i", int(label)))
+        f.write(_STORE_HEADER.pack(STORE_MAGIC, STORE_VERSION,
+                                   _GEOMETRIES.index(es.geometry), count, width,
+                                   es.curvature_K, es.generation_tag))
+        records.tofile(f)
 
 
 def load_embedding_set(path) -> EmbeddingSet:
     with open(path, "rb") as f:
         data = f.read()
-    if data[:4] != STORE_MAGIC:
-        raise InvalidArgumentError("not an HBCT embedding store (bad magic)")
-    version, geom, count, width = struct.unpack_from("<IIII", data, 4)
+    if len(data) < _STORE_HEADER.size or data[:4] != STORE_MAGIC:
+        raise InvalidArgumentError("not an HBCT embedding store (bad magic or short header)")
+    _, version, geom, count, width, K, generation = _STORE_HEADER.unpack_from(data)
     if version != STORE_VERSION:
         raise InvalidArgumentError(f"unsupported store version {version}")
-    K, generation = struct.unpack_from("<di", data, 20)
-    off = 32
-    rowsize = 8 * width + 4
-    points = np.empty((count, width))
-    labels = np.empty(count, dtype=np.int64)
-    for r in range(count):
-        points[r] = np.frombuffer(data, "<f8", width, off)
-        labels[r] = struct.unpack_from("<i", data, off + 8 * width)[0]
-        off += rowsize
-    return EmbeddingSet(points, labels, _GEOMETRIES[geom], K, generation)
+    if geom >= len(_GEOMETRIES):
+        raise InvalidArgumentError(f"unknown store geometry index {geom}")
+    dtype = _record_dtype(width)
+    expected = _STORE_HEADER.size + count * dtype.itemsize
+    if len(data) != expected:
+        raise InvalidArgumentError(f"store is {len(data)} bytes, its header implies "
+                                   f"{expected}")
+    records = np.frombuffer(data, dtype, count, _STORE_HEADER.size)
+    return EmbeddingSet(np.ascontiguousarray(records["x"]), records["y"],
+                        _GEOMETRIES[geom], K, generation)

@@ -12,13 +12,11 @@ whose entries may be Vars.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from . import autodiff as ad
 from .errors import InvalidArgumentError, NumericalDomainError
-from .manifold import LorentzPoint, ManifoldConfig
+from .manifold import DEGENERATE_NORM, SERIES_EPS, LorentzPoint, ManifoldConfig
 
 Q_CLAMP_LO = 1e-3  # adaptive q is bounded away from 0 (RINCE divides by q)
 
@@ -81,10 +79,6 @@ class MlrHead:
     def num_classes(self):
         return len(self.rows)
 
-    def matrix(self) -> np.ndarray:
-        """Rows as a float matrix (only valid when entries are plain floats)."""
-        return np.array([[ad.value(x) for x in r] for r in self.rows], dtype=np.float64)
-
 
 def _hp(h):
     """Normalize a point argument to (time, space_list)."""
@@ -102,7 +96,7 @@ def hexpm_origin(z, mcfg: ManifoldConfig):
     sqrt_K = math.sqrt(mcfg.curvature_K)
     a = ad.mul(ad.norm(z), sqrt_K)
     time = ad.div(ad.cosh(a), sqrt_K)
-    if ad.value(a) < 1e-8:
+    if ad.value(a) < SERIES_EPS:
         # series limit of sinh(a)/a; constant coefficient keeps the tape finite
         coeff = 1.0
     else:
@@ -122,12 +116,6 @@ def hdist(x, y, mcfg: ManifoldConfig):
     K = mcfg.curvature_K
     arg = ad.mul(hinner(x, y), -K)
     return ad.div(ad.acosh(arg), math.sqrt(K))
-
-
-def huncertainty(x, mcfg: ManifoldConfig):
-    """1 - (1/sqrt(K)) * ||x_space|| / x_time over scalars."""
-    xt, xs = _hp(x)
-    return ad.sub(1.0, ad.div(ad.norm(xs), ad.mul(xt, math.sqrt(mcfg.curvature_K))))
 
 
 def pair_distance(x, y, cfg: AlignmentConfig, mcfg: ManifoldConfig):
@@ -167,13 +155,13 @@ def mlr_logits(h, head: MlrHead, mcfg: ManifoldConfig):
 
     With w = [0, w_space] the signed form collapses to the odd function
     ||w|| / sqrt(K) * asinh(sqrt(K) <w_space, h_space> / ||w||).
-    Degenerate rows (||w|| < 1e-12) score 0.
+    Degenerate rows (||w|| < DEGENERATE_NORM) score 0.
     """
     sqrt_K = math.sqrt(mcfg.curvature_K)
     _, hs = _hp(h)
     logits = []
     for w, wn in zip(head.rows, _row_norms(head)):
-        if ad.value(wn) < 1e-12:
+        if ad.value(wn) < DEGENERATE_NORM:
             logits.append(0.0)
             continue
         s = ad.dot(w, hs)

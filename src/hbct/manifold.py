@@ -12,7 +12,7 @@ Exponential/logarithmic maps are provided only at the hyperbolic origin
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,10 @@ DOMAIN_TOL = 1e-6
 # inner product of a point with itself lands at -1/K only up to round-off, and
 # acosh amplifies that noise to sqrt(2 * eps), so d(x, x) would not vanish.
 ACOSH_SNAP = 1e-9
+# sinh(a)/a and a/sinh(a) switch to their series limit 1 below this argument.
+SERIES_EPS = 1e-8
+# vectors shorter than this count as zero (degenerate MLR hyperplanes).
+DEGENERATE_NORM = 1e-12
 
 
 @dataclass(frozen=True)
@@ -131,18 +135,26 @@ def expm_origin(z, cfg: ManifoldConfig) -> LorentzPoint:
     """Exponential map at the origin of the tangent vector [0, z].
 
     expm_0(v) = cosh(sqrt(K)||z||) * 0bar + sinh(sqrt(K)||z||)/(sqrt(K)||z||) * [0, z].
-    The sinh(a)/a coefficient switches to its series limit 1 for a < 1e-8.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (cfg.dim_d,):
         raise InvalidArgumentError(f"z must have shape ({cfg.dim_d},), got {z.shape}")
     if not np.all(np.isfinite(z)):
         raise InvalidArgumentError("z has non-finite entries")
+    times, spaces = expm_origin_rows(z[None], cfg)
+    return LorentzPoint(float(times[0]), spaces[0])
+
+
+def expm_origin_rows(Z: np.ndarray, cfg: ManifoldConfig):
+    """expm_origin over the rows of an (N, d) array; returns (times, spaces).
+
+    The sinh(a)/a coefficient switches to its series limit 1 for a < SERIES_EPS.
+    """
     sqrt_K = math.sqrt(cfg.curvature_K)
-    a = sqrt_K * float(np.linalg.norm(z))
-    time = math.cosh(a) / sqrt_K
-    coeff = 1.0 if a < 1e-8 else math.sinh(a) / a
-    return LorentzPoint(time, coeff * z)
+    a = sqrt_K * np.linalg.norm(Z, axis=1)
+    times = np.cosh(a) / sqrt_K
+    coeff = np.where(a < SERIES_EPS, 1.0, np.sinh(a) / np.where(a == 0, 1.0, a))
+    return times, coeff[:, None] * Z
 
 
 def logm_origin(x: LorentzPoint, cfg: ManifoldConfig) -> TangentVector:
@@ -155,7 +167,7 @@ def logm_origin(x: LorentzPoint, cfg: ManifoldConfig) -> TangentVector:
     arg = sqrt_K * x.time  # equals -K * <0bar, x>_L
     a = _acosh_clamped(arg)
     # proj_0bar(x) = [0, x_space]; coefficient a / sinh(a) with series limit 1.
-    coeff = 1.0 if a < 1e-8 else a / math.sinh(a)
+    coeff = 1.0 if a < SERIES_EPS else a / math.sinh(a)
     return TangentVector(0.0, coeff * x.space, cfg.origin)
 
 
@@ -173,14 +185,18 @@ def project_tangent(p: LorentzPoint, u, cfg: ManifoldConfig) -> TangentVector:
 
 def rescale_clip(z, zeta: float, cfg: ManifoldConfig) -> np.ndarray:
     """Rescale an embedding by 1/sqrt(d), then clip its norm at zeta."""
+    return rescale_clip_rows(np.asarray(z, dtype=np.float64)[None], zeta, cfg)[0]
+
+
+def rescale_clip_rows(Z: np.ndarray, zeta: float, cfg: ManifoldConfig) -> np.ndarray:
+    """rescale_clip over the rows of an (N, d) array; returns a new array."""
     if not (zeta > 0):
         raise InvalidArgumentError(f"zeta must be > 0, got {zeta}")
-    z = np.asarray(z, dtype=np.float64)
-    zp = z / math.sqrt(cfg.dim_d)
-    norm = float(np.linalg.norm(zp))
-    if norm > zeta:
-        zp = zp * (zeta / norm)
-    return zp
+    Z = np.asarray(Z, dtype=np.float64) / math.sqrt(cfg.dim_d)
+    norms = np.linalg.norm(Z, axis=1)
+    over = norms > zeta
+    Z[over] *= (zeta / norms[over])[:, None]
+    return Z
 
 
 def uncertainty(x: LorentzPoint, cfg: ManifoldConfig) -> float:
@@ -190,8 +206,12 @@ def uncertainty(x: LorentzPoint, cfg: ManifoldConfig) -> float:
     strictly decreasing in ||z||.  Bounded in [0, 1] only for K = 1; for other
     curvatures large-norm embeddings can push the value negative.
     """
-    K = cfg.curvature_K
-    return 1.0 - float(np.linalg.norm(x.space)) / (math.sqrt(K) * x.time)
+    return float(uncertainty_rows(np.array([x.time]), x.space[None], cfg)[0])
+
+
+def uncertainty_rows(times: np.ndarray, spaces: np.ndarray, cfg: ManifoldConfig):
+    """uncertainty for each row of (times (N,), spaces (N, d))."""
+    return 1.0 - np.linalg.norm(spaces, axis=1) / (math.sqrt(cfg.curvature_K) * times)
 
 
 def on_manifold_defect(x: LorentzPoint, cfg: ManifoldConfig) -> float:

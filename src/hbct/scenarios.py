@@ -20,7 +20,7 @@ import numpy as np
 
 from .encoder import (ClipPolicy, EncoderModel, TrainConfig, embed_batch,
                       save_checkpoint, train_new, train_old)
-from .errors import DegenerateBaselineError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .evaluation import (CompatReport, EmbeddingSet, compatibility_matrix,
                          evaluate_metric, save_embedding_set)
 from .losses import AlignmentConfig
@@ -108,11 +108,7 @@ class Dataset:
         n = len(self.train_X)
         keep = rng.choice(n, size=max(1, int(round(fraction * n))), replace=False)
         keep.sort()
-        return replace_train(self, self.train_X[keep], self.train_y[keep])
-
-
-def replace_train(ds: Dataset, X, y):
-    return Dataset(X, y, ds.query_X, ds.query_y, ds.gallery_X, ds.gallery_y)
+        return replace(self, train_X=self.train_X[keep], train_y=self.train_y[keep])
 
 
 def generate_dataset(spec: SyntheticDatasetSpec) -> Dataset:
@@ -172,6 +168,7 @@ class ScenarioResult:
     new_head: np.ndarray
     reports: dict
     uncertainties: dict
+    galleries: dict  # "old" / "new" -> the gallery EmbeddingSet the reports used
 
 
 def scenario_slices(ds: Dataset, spec: ScenarioSpec, seed: int):
@@ -248,7 +245,8 @@ def run_variants(cfg: ExperimentConfig, seed: int, variants,
         unc = {"old_gallery": old_g_unc, "new_gallery": new_g_unc,
                "gallery_labels": ds.gallery_y}
         results[name] = ScenarioResult(old_model, old_head, star_model, star_head,
-                                       new_model, new_head, reports, unc)
+                                       new_model, new_head, reports, unc,
+                                       {"old": old_g, "new": new_g})
     return results
 
 
@@ -302,18 +300,21 @@ def run_sequential_single(cfg: ExperimentConfig, seed: int, aligned: bool = True
     return models, stars, ds
 
 
+def _chain_pairs(chain, ds: Dataset, cfg: ExperimentConfig):
+    """(query, gallery) embedding sets for each (model, head) of a chain."""
+    pairs = []
+    for m, h in chain:
+        q, _ = _embedding_set(m, h, ds.query_X, ds.query_y, cfg.clip, cfg.manifold)
+        g, _ = _embedding_set(m, h, ds.gallery_X, ds.gallery_y, cfg.clip, cfg.manifold)
+        pairs.append((q, g))
+    return pairs
+
+
 def sequential_matrix(cfg: ExperimentConfig, seed: int, aligned: bool = True,
                       metric: str = "cmc@1") -> np.ndarray:
     models, stars, ds = run_sequential_single(cfg, seed, aligned=aligned)
-    mcfg, policy = cfg.manifold, cfg.clip
-    pairs, star_pairs = [], []
-    for (m, h), (sm, sh) in zip(models, stars):
-        q, _ = _embedding_set(m, h, ds.query_X, ds.query_y, policy, mcfg)
-        g, _ = _embedding_set(m, h, ds.gallery_X, ds.gallery_y, policy, mcfg)
-        pairs.append((q, g))
-        sq, _ = _embedding_set(sm, sh, ds.query_X, ds.query_y, policy, mcfg)
-        sg, _ = _embedding_set(sm, sh, ds.gallery_X, ds.gallery_y, policy, mcfg)
-        star_pairs.append((sq, sg))
+    star_pairs = _chain_pairs(stars, ds, cfg)
+    pairs = _chain_pairs(models, ds, cfg) if aligned else star_pairs
     return compatibility_matrix(pairs, star_pairs, metric)
 
 
@@ -355,10 +356,7 @@ def run_scenario(cfg: ExperimentConfig, metrics=DEFAULT_METRICS):
                                   ("star", res.star_model, res.star_head),
                                   ("new", res.new_model, res.new_head)):
             save_checkpoint(os.path.join(out, f"{name}.ckpt"), model, head, mcfg, policy)
-        ds = generate_dataset(replace(cfg.dataset, seed=cfg.dataset.seed + seed))
-        for name, model, head in (("old", res.old_model, res.old_head),
-                                  ("new", res.new_model, res.new_head)):
-            es, _ = _embedding_set(model, head, ds.gallery_X, ds.gallery_y, policy, mcfg)
+        for name, es in res.galleries.items():
             save_embedding_set(os.path.join(out, f"{name}_gallery.emb"), es)
         write_report(os.path.join(out, "report"), res.reports)
         emit_plots(res, out)
@@ -367,11 +365,18 @@ def run_scenario(cfg: ExperimentConfig, metrics=DEFAULT_METRICS):
 
 
 def run_matrix(cfg: ExperimentConfig, metric="cmc@1"):
-    """Sequential-update matrices per seed, for HBCT and the unaligned chain."""
+    """Sequential-update matrices per seed, for HBCT and the unaligned chain.
+
+    One aligned chain serves both: a lambda = 0 update reads the previous model
+    only for its generation tag, so the unaligned chain is exactly the aligned
+    chain's star models.
+    """
     out_all = {}
     for seed in cfg.seeds:
-        m_hbct = sequential_matrix(cfg, seed, aligned=True, metric=metric)
-        m_base = sequential_matrix(cfg, seed, aligned=False, metric=metric)
+        models, stars, ds = run_sequential_single(cfg, seed, aligned=True)
+        star_pairs = _chain_pairs(stars, ds, cfg)
+        m_hbct = compatibility_matrix(_chain_pairs(models, ds, cfg), star_pairs, metric)
+        m_base = compatibility_matrix(star_pairs, star_pairs, metric)
         out = _run_dir(cfg, seed)
         os.makedirs(out, exist_ok=True)
         write_matrix_table(os.path.join(out, "matrix_hbct.txt"), m_hbct)
@@ -381,19 +386,19 @@ def run_matrix(cfg: ExperimentConfig, metric="cmc@1"):
 
 
 def run_sweep(cfg: ExperimentConfig, lambdas, metric="cmc@1"):
-    """Trade-off table over alignment weights (self vs cross retrieval)."""
+    """Trade-off table over alignment weights (self vs cross retrieval).
+
+    Each seed trains its old and star models once, shared by every weight.
+    """
+    variants = {lam: replace(cfg.alignment, lambda_align=lam) for lam in lambdas}
+    per_seed = [run_variants(cfg, seed, variants, metrics=(metric,))
+                for seed in cfg.seeds]
     rows = []
     for lam in lambdas:
-        sub = replace(cfg, alignment=replace(cfg.alignment, lambda_align=lam))
-        selfs, crosses, pcoms = [], [], []
-        for seed in cfg.seeds:
-            res = run_single(sub, seed, metrics=(metric,))
-            rep = res.reports[metric]
-            selfs.append(rep.self_value)
-            crosses.append(rep.cross_value)
-            pcoms.append(rep.p_com)
-        rows.append((lam, float(np.median(selfs)), float(np.median(crosses)),
-                     float(np.median(pcoms))))
+        reps = [res[lam].reports[metric] for res in per_seed]
+        rows.append((lam, float(np.median([r.self_value for r in reps])),
+                     float(np.median([r.cross_value for r in reps])),
+                     float(np.median([r.p_com for r in reps]))))
     return rows
 
 
@@ -433,7 +438,6 @@ def write_histogram_svg(path, named_series, bins=20, width=480, height=240):
     colors = ("#4477aa", "#ee6677", "#228833", "#ccbb44")
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}">']
-    all_counts = []
     series = [(name, *_histogram(v, bins=bins)) for name, v in named_series]
     peak = max((c.max() for _, c, _ in series if len(c)), default=1) or 1
     bw = width / bins

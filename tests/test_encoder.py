@@ -1,6 +1,8 @@
 """Encoder pipeline and training loops: embedding contracts, determinism,
 alignment switch-off equivalence, divergence handling, checkpoint format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,29 @@ class TestCheckpoint:
         assert K == MCFG.curvature_K
         assert zeta == POLICY.zeta(2)
         assert loaded.hidden_dims == (6, 5)
+
+    def test_wrong_length_rejected(self, tmp_path):
+        rng = np.random.default_rng(5)
+        model = EncoderModel.init(3, (6,), 4, rng, generation_tag=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, rng.normal(size=(3, 4)), MCFG, POLICY)
+        data = path.read_bytes()
+        for bad in (data[:-1], data + b"\x00", data[:44], data[:30]):
+            path.write_bytes(bad)
+            with pytest.raises(InvalidArgumentError):
+                load_checkpoint(path)
+
+    def test_unchained_layers_rejected(self, tmp_path):
+        rng = np.random.default_rng(6)
+        model = EncoderModel.init(3, (4,), 2, rng)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, rng.normal(size=(2, 2)), MCFG, POLICY)
+        data = bytearray(path.read_bytes())
+        # (1, 5) then (7, 2) holds as many floats as (3, 4) then (4, 2)
+        struct.pack_into("<IIII", data, 40, 1, 5, 7, 2)
+        path.write_bytes(bytes(data))
+        with pytest.raises(InvalidArgumentError):
+            load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -2,6 +2,7 @@
 metric arithmetic, and the embedding store format."""
 
 import math
+import struct
 import warnings
 
 import numpy as np
@@ -284,6 +285,55 @@ class TestEmbeddingStore:
         back = load_embedding_set(path)
         assert np.array_equal(back.points, es.points)
         assert back.geometry == "euclidean"
+
+    @pytest.mark.parametrize("geometry,width", [("lorentz", 3), ("euclidean", 2)])
+    def test_golden_bytes(self, tmp_path, geometry, width):
+        points = np.arange(2 * width, dtype=np.float64).reshape(2, width) / 7.0 + 1.0
+        labels = [5, -3]
+        es = EmbeddingSet(points, labels, geometry, 0.75, -2)
+        expected = b"HBCT" + struct.pack("<IIII", 1, ("euclidean", "lorentz").index(geometry),
+                                         2, width) + struct.pack("<di", 0.75, -2)
+        for row, label in zip(points, labels):
+            expected += struct.pack(f"<{width}d", *row) + struct.pack("<i", label)
+        path = tmp_path / "golden.emb"
+        save_embedding_set(path, es)
+        assert path.read_bytes() == expected
+        back = load_embedding_set(path)
+        assert back.points.dtype == np.float64 and back.points.flags.c_contiguous
+        assert np.array_equal(back.points, points)
+        assert back.labels.tolist() == labels and back.geometry == geometry
+
+    def _saved(self, tmp_path):
+        path = tmp_path / "set.emb"
+        save_embedding_set(path, lorentz_set(np.random.default_rng(15), 4))
+        return path
+
+    def test_truncated_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        data = path.read_bytes()
+        for cut in (len(data) - 1, 20):
+            path.write_bytes(data[:cut])
+            with pytest.raises(InvalidArgumentError):
+                load_embedding_set(path)
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(InvalidArgumentError):
+            load_embedding_set(path)
+
+    def test_bad_geometry_index_rejected(self, tmp_path):
+        path = self._saved(tmp_path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<I", data, 8, 7)
+        path.write_bytes(bytes(data))
+        with pytest.raises(InvalidArgumentError):
+            load_embedding_set(path)
+
+    def test_label_outside_int32_rejected(self, tmp_path):
+        es = EmbeddingSet(np.zeros((2, 2)), [0, 2**31], "euclidean")
+        with pytest.raises(InvalidArgumentError):
+            save_embedding_set(tmp_path / "set.emb", es)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.emb"

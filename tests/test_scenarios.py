@@ -12,7 +12,8 @@ from hbct import config as cfgmod
 from hbct.cli import main
 from hbct.encoder import ClipPolicy, TrainConfig
 from hbct.errors import DegenerateBaselineError, InvalidArgumentError
-from hbct.evaluation import EmbeddingSet, cmc_at_k, load_embedding_set
+from hbct.evaluation import (EmbeddingSet, cmc_at_k, load_embedding_set,
+                             save_embedding_set)
 from hbct.losses import AlignmentConfig
 from hbct.manifold import ManifoldConfig
 from hbct.scenarios import (Dataset, ExperimentConfig, ScenarioSpec,
@@ -233,6 +234,15 @@ class TestSequential:
         assert (out / "matrix_hbct.txt").exists()
         assert (out / "matrix_baseline.txt").exists()
 
+    def test_run_matrix_equals_both_chains(self, tmp_path, monkeypatch):
+        # run_matrix trains only the aligned chain; its star models must
+        # reproduce the separately trained unaligned chain bit for bit
+        monkeypatch.setenv("HBCT_OUTPUT_ROOT", str(tmp_path))
+        cfg = self._cfg()
+        m_hbct, m_base = run_matrix(cfg, metric="map")[0]
+        assert m_hbct.tobytes() == sequential_matrix(cfg, 0, True, "map").tobytes()
+        assert m_base.tobytes() == sequential_matrix(cfg, 0, False, "map").tobytes()
+
 
 class TestSweep:
     def test_smoke(self):
@@ -240,6 +250,18 @@ class TestSweep:
         rows = run_sweep(cfg, (0.1, 0.5), metric="map")
         assert [lam for lam, *_ in rows] == [0.1, 0.5]
         assert all(math.isfinite(v) for row in rows for v in row)
+
+    def test_rows_equal_single_runs(self):
+        # the shared old and star models must not change any table value
+        cfg = tiny_cfg(seeds=(0, 1))
+        rows = run_sweep(cfg, (0.0, 0.3), metric="map")
+        for lam, self_value, cross, pcom in rows:
+            sub = replace(cfg, alignment=replace(cfg.alignment, lambda_align=lam))
+            reps = [run_single(sub, seed, metrics=("map",)).reports["map"]
+                    for seed in cfg.seeds]
+            assert self_value == float(np.median([r.self_value for r in reps]))
+            assert cross == float(np.median([r.cross_value for r in reps]))
+            assert pcom == float(np.median([r.p_com for r in reps]))
 
 
 class TestEmission:
@@ -291,6 +313,38 @@ class TestCli:
         path = tmp_path / "bad.cfg"
         path.write_text("train.warmup = 5\n")
         assert main(["scenario", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("line", ["train.epochs = abc", "seeds = 0,x",
+                                      "manifold.curvature_K = flat"])
+    def test_bad_value_exits_2(self, tmp_path, line):
+        path = tmp_path / "bad.cfg"
+        path.write_text(line + "\n")
+        assert main(["scenario", "--config", str(path)]) == 2
+
+    def test_bad_metric_and_lambdas_exit_2(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HBCT_OUTPUT_ROOT", str(tmp_path))
+        store = str(tmp_path / "set.emb")
+        save_embedding_set(store, EmbeddingSet(np.eye(3), [0, 1, 0], "euclidean"))
+        for metric in ("cmc@x", "cmc@-1", "cmc@"):
+            assert main(["evaluate", "--queries", store, "--gallery", store,
+                         "--metric", metric]) == 2
+        cfg_path = self._write_cfg(tmp_path)
+        assert main(["sweep", "--config", cfg_path, "--lambdas", "0.1,x"]) == 2
+
+    def test_train_new_checks_old_geometry(self, tmp_path):
+        cfg_path = self._write_cfg(tmp_path)
+        data = str(tmp_path / "data.npz")
+        old = str(tmp_path / "old.ckpt")
+        assert main(["generate", "--config", cfg_path, "--out", data]) == 0
+        assert main(["train-old", "--config", cfg_path, "--data", data,
+                     "--out", old]) == 0
+        for override in (dict(manifold=ManifoldConfig(0.5, 4)),
+                         dict(clip=ClipPolicy(zeta_old=1.5))):
+            other = str(tmp_path / "other.cfg")
+            cfgmod.save(other, tiny_cfg(**override))
+            assert main(["train-new", "--config", other, "--data", data,
+                         "--old", old, "--out", str(tmp_path / "new.ckpt")]) == 2
+        assert not (tmp_path / "new.ckpt").exists()
 
     def test_divergence_exits_3(self, tmp_path):
         cfg_path = self._write_cfg(
