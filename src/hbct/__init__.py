@@ -1,14 +1,15 @@
 """Hyperbolic backward-compatible training (HBCT).
 
 Lorentz-model geometry, entailment-cone and uncertainty-weighted contrastive
-alignment losses, toy encoder training on a built-in reverse-mode autodiff
-tape, and a retrieval/compatibility evaluation harness.
+alignment losses written once over batched arrays, toy encoder training on a
+built-in reverse-mode array autodiff tape, and a retrieval/compatibility
+evaluation harness.
 """
 
 from .manifold import (LorentzPoint, ManifoldConfig, TangentVector,
                        expm_origin, geodesic_distance, lift, logm_origin,
                        lorentz_inner, project_tangent, rescale_clip, uncertainty)
-from .losses import (AlignmentConfig, MlrHead, aperture, base_loss,
+from .losses import (AlignmentConfig, aperture, base_loss,
                      contrastive_loss, entailment_loss, exterior_angle,
                      infonce_loss, mean_distortion_loss, mlr_logits, total_loss)
 from .encoder import (ClipPolicy, EncoderModel, TrainConfig, embed, embed_batch,

@@ -1,13 +1,23 @@
-"""Minimal reverse-mode automatic differentiation over a scalar tape.
+"""Minimal reverse-mode automatic differentiation over float64 arrays.
 
-A Tape records a dynamic graph of scalar nodes; each node stores its primal
-value, parent node indices and the local partial derivatives with respect to
-those parents.  Vectors are handled through fused ``dot`` and ``norm`` nodes so
-that d-dimensional geometry costs O(1) nodes instead of O(d).
+A Tape records a dynamic graph of array nodes in topological order.  Each node
+stores its primal value, the operand values it was computed from, and, for
+every operand that is itself a node, a vector-Jacobian product mapping the
+node's adjoint to that operand's adjoint contribution.  Operands broadcast as
+in numpy; ``backward`` sums each contribution back down to its operand's
+shape.  A batched formula therefore costs O(1) nodes, not O(batch).
 
-Every public function accepts plain floats alongside :class:`Var` operands and
-falls back to ordinary float arithmetic when no Var is involved, so the same
-loss code evaluates with or without a tape.
+Every public function accepts plain arrays and floats alongside :class:`Var`
+operands and returns a plain numpy result when no Var is involved, so the same
+code evaluates with or without a tape.
+
+Domain policy, applied per element: acosh/asin/acos arguments beyond
+DOMAIN_TOL outside the domain raise NumericalDomainError, smaller violations
+are clamped into the closed domain, and partials are taken at arguments
+clamped CLAMP_SLACK inside it.  acosh arguments within ACOSH_SNAP above 1 snap
+to exactly 1: the Lorentz inner product of a point with itself lands at -1/K
+only up to round-off, and acosh amplifies that noise to sqrt(2 * eps), so
+d(x, x) would not vanish.  A non-finite primal recorded on a tape raises.
 
 Only first-order derivatives are supported.  A tape is confined to a single
 thread; independent tapes may run concurrently.
@@ -15,46 +25,50 @@ thread; independent tapes may run concurrently.
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 from .errors import InvalidArgumentError, NumericalDomainError
-# Same domain policy as the manifold module: clamp into the closed domain with
-# CLAMP_SLACK, raise beyond DOMAIN_TOL, snap acosh arguments within ACOSH_SNAP
-# above 1 to exactly 1.
-from .manifold import ACOSH_SNAP, CLAMP_SLACK, DOMAIN_TOL
+
+CLAMP_SLACK = 1e-12
+DOMAIN_TOL = 1e-6
+ACOSH_SNAP = 1e-9
 
 
 class Tape:
-    """Append-only record of scalar operations, in topological order."""
+    """Append-only record of array operations, in topological order."""
 
-    __slots__ = ("vals", "parents", "partials")
+    __slots__ = ("vals", "args", "links")
 
     def __init__(self):
-        self.vals = []
-        self.parents = []
-        self.partials = []
+        self.vals = []   # primal value per node
+        self.args = []   # operand values per node
+        self.links = []  # ((parent node index, vjp), ...) per node
 
     def __len__(self):
         return len(self.vals)
 
-    def _push(self, val, parents, partials):
-        if not math.isfinite(val):
-            raise NumericalDomainError(f"non-finite primal {val} recorded on tape")
-        idx = len(self.vals)
+    def _push(self, val, args, links):
+        finite = np.isfinite(val)
+        if not finite.all():
+            bad = np.size(finite) - np.count_nonzero(finite)
+            raise NumericalDomainError(
+                f"non-finite primal recorded on tape ({bad} of {np.size(finite)} entries)")
         self.vals.append(val)
-        self.parents.append(parents)
-        self.partials.append(partials)
-        return Var(self, idx, val)
+        self.args.append(args)
+        self.links.append(links)
+        return Var(self, len(self.vals) - 1, val)
 
     def var(self, value):
-        """Create a leaf node (an independent variable / parameter)."""
-        return self._push(float(value), (), ())
+        """Create a leaf node (an independent variable / parameter array)."""
+        return self._push(np.array(value, dtype=np.float64), (), ())
 
 
 class Var:
     """Handle to a tape node: (tape, node index, primal value)."""
 
     __slots__ = ("tape", "idx", "val")
+    # numpy operands defer to the reflected operators below
+    __array_ufunc__ = None
 
     def __init__(self, tape, idx, val):
         self.tape = tape
@@ -63,6 +77,27 @@ class Var:
 
     def __repr__(self):
         return f"Var(idx={self.idx}, val={self.val})"
+
+    @property
+    def shape(self):
+        return np.shape(self.val)
+
+    @property
+    def ndim(self):
+        return np.ndim(self.val)
+
+    def __len__(self):
+        return len(self.val)
+
+    @property
+    def T(self):
+        return transpose(self)
+
+    def __getitem__(self, key):
+        return getitem(self, key)
+
+    def reshape(self, *shape):
+        return reshape(self, shape)
 
     def __add__(self, other):
         return add(self, other)
@@ -92,262 +127,253 @@ class Var:
     def __pow__(self, other):
         return powr(self, other)
 
+    def __matmul__(self, other):
+        return matmul(self, other)
+
+    def __rmatmul__(self, other):
+        return matmul(other, self)
+
 
 def value(x):
-    """Primal value of a Var, or the float itself."""
-    return x.val if isinstance(x, Var) else float(x)
+    """Primal value of a Var, or x as a float64 array."""
+    return x.val if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
 
 
-def _tape_of(*args):
+def array(x):
+    """A Var unchanged, anything else as a float64 array."""
+    return x if isinstance(x, Var) else np.asarray(x, dtype=np.float64)
+
+
+def _apply(f, vjps, *args):
+    """f over the operands' primal values, recorded when any operand is a Var.
+
+    ``vjps[k](g, out, *vals)`` is the adjoint contribution to operand k.
+    """
+    tape = None
     for a in args:
-        if isinstance(a, Var):
-            return a.tape
-    return None
+        if type(a) is Var:
+            tape = a.tape
+            break
+    if tape is None:
+        return f(*args)
+    vals = tuple(a.val if type(a) is Var else a for a in args)
+    links = tuple((a.idx, vjp) for a, vjp in zip(args, vjps) if type(a) is Var)
+    return tape._push(f(*vals), vals, links)
 
 
-def _unary(x, fval, fgrad):
-    if isinstance(x, Var):
-        try:
-            v = fval(x.val)
-        except (OverflowError, ValueError, ZeroDivisionError) as e:
-            raise NumericalDomainError(f"{e} at primal {x.val}") from e
-        return x.tape._push(v, (x.idx,), (fgrad(x.val),))
-    return fval(float(x))
+def _pass(g, out, *vals):
+    return g
+
+
+def _negate(g, out, *vals):
+    return -g
 
 
 def add(a, b):
-    a_var = type(a) is Var
-    b_var = type(b) is Var
-    if a_var:
-        if b_var:
-            return a.tape._push(a.val + b.val, (a.idx, b.idx), (1.0, 1.0))
-        return a.tape._push(a.val + float(b), (a.idx,), (1.0,))
-    if b_var:
-        return b.tape._push(float(a) + b.val, (b.idx,), (1.0,))
-    return float(a) + float(b)
+    return _apply(np.add, (_pass, _pass), a, b)
 
 
 def sub(a, b):
-    a_var = type(a) is Var
-    b_var = type(b) is Var
-    if a_var:
-        if b_var:
-            return a.tape._push(a.val - b.val, (a.idx, b.idx), (1.0, -1.0))
-        return a.tape._push(a.val - float(b), (a.idx,), (1.0,))
-    if b_var:
-        return b.tape._push(float(a) - b.val, (b.idx,), (-1.0,))
-    return float(a) - float(b)
+    return _apply(np.subtract, (_pass, _negate), a, b)
 
 
 def mul(a, b):
-    a_var = type(a) is Var
-    b_var = type(b) is Var
-    if a_var:
-        if b_var:
-            return a.tape._push(a.val * b.val, (a.idx, b.idx), (b.val, a.val))
-        bf = float(b)
-        return a.tape._push(a.val * bf, (a.idx,), (bf,))
-    if b_var:
-        af = float(a)
-        return b.tape._push(af * b.val, (b.idx,), (af,))
-    return float(a) * float(b)
+    return _apply(np.multiply, (lambda g, o, a, b: g * b, lambda g, o, a, b: g * a), a, b)
 
 
 def div(a, b):
-    a_var = type(a) is Var
-    b_var = type(b) is Var
-    if a_var:
-        if b_var:
-            return a.tape._push(a.val / b.val, (a.idx, b.idx),
-                                (1.0 / b.val, -a.val / (b.val * b.val)))
-        bf = float(b)
-        return a.tape._push(a.val / bf, (a.idx,), (1.0 / bf,))
-    if b_var:
-        af = float(a)
-        return b.tape._push(af / b.val, (b.idx,), (-af / (b.val * b.val),))
-    return float(a) / float(b)
+    return _apply(np.true_divide, (lambda g, o, a, b: g / b,
+                                   lambda g, o, a, b: g * (-a / (b * b))), a, b)
 
 
 def neg(x):
-    return _unary(x, lambda v: -v, lambda v: -1.0)
+    return _apply(np.negative, (_negate,), x)
 
 
 def exp(x):
-    return _unary(x, math.exp, math.exp)
+    return _apply(np.exp, (lambda g, o, x: g * o,), x)
 
 
 def log(x):
-    return _unary(x, math.log, lambda v: 1.0 / v)
+    return _apply(np.log, (lambda g, o, x: g / x,), x)
 
 
 def sqrt(x):
-    return _unary(x, math.sqrt, lambda v: 0.5 / math.sqrt(v))
+    return _apply(np.sqrt, (lambda g, o, x: g * (0.5 / o),), x)
 
 
 def tanh(x):
-    return _unary(x, math.tanh, lambda v: 1.0 - math.tanh(v) ** 2)
+    return _apply(np.tanh, (lambda g, o, x: g * (1.0 - o * o),), x)
 
 
 def cosh(x):
-    return _unary(x, math.cosh, math.sinh)
+    return _apply(np.cosh, (lambda g, o, x: g * np.sinh(x),), x)
 
 
 def sinh(x):
-    return _unary(x, math.sinh, math.cosh)
+    return _apply(np.sinh, (lambda g, o, x: g * np.cosh(x),), x)
+
+
+def asinh(x):
+    return _apply(np.arcsinh, (lambda g, o, x: g / np.sqrt(x * x + 1.0),), x)
+
+
+def _acosh(v):
+    if np.any(v < 1.0 - DOMAIN_TOL):
+        raise NumericalDomainError(
+            f"acosh argument {np.min(v)} below 1 by more than {DOMAIN_TOL}")
+    return np.where(v < 1.0 + ACOSH_SNAP, 0.0, np.arccosh(np.maximum(v, 1.0)))
+
+
+def _acosh_vjp(g, out, v):
+    v = np.maximum(v, 1.0 + CLAMP_SLACK)
+    return g / np.sqrt(v * v - 1.0)
 
 
 def acosh(x):
-    def fval(v):
-        if v < 1.0 - DOMAIN_TOL:
-            raise NumericalDomainError(f"acosh argument {v} below domain")
-        if v < 1.0 + ACOSH_SNAP:
-            return 0.0
-        return math.acosh(v)
+    return _apply(_acosh, (_acosh_vjp,), x)
 
-    def fgrad(v):
-        # partial taken at the argument clamped just inside the domain
-        v = max(v, 1.0 + CLAMP_SLACK)
-        return 1.0 / math.sqrt(v * v - 1.0)
 
-    return _unary(x, fval, fgrad)
+def _unit_clamped(v, name):
+    if np.any(np.abs(v) > 1.0 + DOMAIN_TOL):
+        raise NumericalDomainError(f"{name} argument outside [-1, 1] by more than "
+                                   f"{DOMAIN_TOL}")
+    return np.clip(v, -1.0, 1.0)
+
+
+def _unit_partial(v):
+    v = np.clip(v, -1.0 + CLAMP_SLACK, 1.0 - CLAMP_SLACK)
+    return 1.0 / np.sqrt(1.0 - v * v)
 
 
 def asin(x):
-    def fval(v):
-        if v < -1.0 - DOMAIN_TOL or v > 1.0 + DOMAIN_TOL:
-            raise NumericalDomainError(f"asin argument {v} outside domain")
-        return math.asin(min(max(v, -1.0), 1.0))
-
-    def fgrad(v):
-        v = min(max(v, -1.0 + CLAMP_SLACK), 1.0 - CLAMP_SLACK)
-        return 1.0 / math.sqrt(1.0 - v * v)
-
-    return _unary(x, fval, fgrad)
+    return _apply(lambda v: np.arcsin(_unit_clamped(v, "asin")),
+                  (lambda g, o, v: g * _unit_partial(v),), x)
 
 
 def acos(x):
-    def fval(v):
-        if v < -1.0 - DOMAIN_TOL or v > 1.0 + DOMAIN_TOL:
-            raise NumericalDomainError(f"acos argument {v} outside domain")
-        return math.acos(min(max(v, -1.0), 1.0))
-
-    def fgrad(v):
-        v = min(max(v, -1.0 + CLAMP_SLACK), 1.0 - CLAMP_SLACK)
-        return -1.0 / math.sqrt(1.0 - v * v)
-
-    return _unary(x, fval, fgrad)
+    return _apply(lambda v: np.arccos(_unit_clamped(v, "acos")),
+                  (lambda g, o, v: g * -_unit_partial(v),), x)
 
 
 def powr(a, b):
-    """a ** b for positive base a; exponent may be a Var or a constant."""
-    t = _tape_of(a, b)
-    av, bv = value(a), value(b)
-    if t is None:
-        return av ** bv
-    v = av ** bv
-    ps, gs = [], []
-    if isinstance(a, Var):
-        ps.append(a.idx)
-        gs.append(bv * av ** (bv - 1.0))
+    """a ** b for positive base a and a constant exponent b."""
     if isinstance(b, Var):
-        ps.append(b.idx)
-        gs.append(v * math.log(av))
-    return t._push(v, tuple(ps), tuple(gs))
+        raise InvalidArgumentError("powr exponent must be a constant")
+    return _apply(np.power, (lambda g, o, a, b: g * (b * a ** (b - 1.0)), None), a, b)
 
 
 def max0(x):
     """Hinge max(0, x) with subgradient 0 at x == 0."""
-    return _unary(x, lambda v: v if v > 0.0 else 0.0, lambda v: 1.0 if v > 0.0 else 0.0)
+    return _apply(lambda v: np.where(v > 0.0, v, 0.0),
+                  (lambda g, o, v: np.where(v > 0.0, g, 0.0),), x)
 
 
-def dot(xs, ys):
-    """Fused inner product of two scalar sequences (Vars and/or floats)."""
-    if len(xs) != len(ys):
-        raise InvalidArgumentError("dot: length mismatch")
-    total = 0.0
-    t = None
-    ps, gs = [], []
-    for a, b in zip(xs, ys):
-        if type(a) is Var:
-            t = a.tape
-            av = a.val
-            if type(b) is Var:
-                bv = b.val
-                ps.append(a.idx)
-                gs.append(bv)
-                ps.append(b.idx)
-                gs.append(av)
-            else:
-                bv = float(b)
-                ps.append(a.idx)
-                gs.append(bv)
-        else:
-            av = float(a)
-            if type(b) is Var:
-                t = b.tape
-                bv = b.val
-                ps.append(b.idx)
-                gs.append(av)
-            else:
-                bv = float(b)
-        total += av * bv
-    if t is None:
-        return total
-    return t._push(total, tuple(ps), tuple(gs))
+def where(cond, a, b):
+    """Select a where the plain boolean cond holds, else b; adjoints follow."""
+    return _apply(np.where, (None, lambda g, o, c, a, b: np.where(c, g, 0.0),
+                             lambda g, o, c, a, b: np.where(c, 0.0, g)), cond, a, b)
 
 
-def norm(xs):
-    """Fused Euclidean norm; subgradient 0 at the origin."""
-    t = None
-    sq = 0.0
-    vals = []
-    for x in xs:
-        if type(x) is Var:
-            t = x.tape
-            v = x.val
-        else:
-            v = float(x)
-        vals.append(v)
-        sq += v * v
-    n = math.sqrt(sq)
-    if t is None:
-        return n
-    ps, gs = [], []
-    for x, v in zip(xs, vals):
-        if type(x) is Var:
-            ps.append(x.idx)
-            gs.append(v / n if n > 0.0 else 0.0)
-    return t._push(n, tuple(ps), tuple(gs))
+def sum(x, axis=None, keepdims=False):
+    def vjp(g, out, v):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        return np.broadcast_to(g, np.shape(v))
+
+    return _apply(lambda v: np.sum(v, axis=axis, keepdims=keepdims), (vjp,), x)
 
 
-def asinh(x):
-    """asinh composed from primitive nodes: log(x + sqrt(x^2 + 1))."""
-    if not isinstance(x, Var):
-        return math.asinh(float(x))
-    return log(add(x, sqrt(add(mul(x, x), 1.0))))
+def mean(x):
+    """Mean over every entry: the sum, then one division by the count."""
+    return div(sum(x), np.size(value(x)))
+
+
+def norm(x, keepdims=False):
+    """Euclidean norm along the last axis; subgradient 0 at the origin."""
+    def vjp(g, n, v):
+        if not keepdims:
+            g, n = np.asarray(g)[..., None], np.asarray(n)[..., None]
+        return np.where(n > 0.0, g * (v / np.where(n > 0.0, n, 1.0)), 0.0)
+
+    return _apply(lambda v: np.linalg.norm(v, axis=-1, keepdims=keepdims), (vjp,), x)
+
+
+def _matmul_a(g, out, a, b):
+    if np.ndim(b) == 1:
+        return np.multiply.outer(g, b)
+    return g @ np.transpose(b)
+
+
+def _matmul_b(g, out, a, b):
+    if np.ndim(a) == 1:
+        return np.multiply.outer(a, g)
+    return np.transpose(a) @ g
+
+
+def matmul(a, b):
+    """a @ b for operands of at most two dimensions."""
+    return _apply(np.matmul, (_matmul_a, _matmul_b), a, b)
+
+
+def transpose(x):
+    return _apply(np.transpose, (lambda g, o, v: np.transpose(g),), x)
+
+
+def reshape(x, shape):
+    return _apply(np.reshape, (lambda g, o, v, shape: np.reshape(g, np.shape(v)), None),
+                  x, shape)
+
+
+def _getitem_vjp(g, out, v, key):
+    full = np.zeros(np.shape(v))
+    np.add.at(full, key, g)
+    return full
+
+
+def getitem(x, key):
+    return _apply(lambda v, k: v[k], (_getitem_vjp, None), x, key)
+
+
+def _unbroadcast(g, shape):
+    """Sum an adjoint computed at a broadcast shape back down to shape."""
+    extra = np.ndim(g) - len(shape)
+    if extra:
+        g = np.sum(g, axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return np.sum(g, axis=axes, keepdims=True) if axes else g
 
 
 def backward(tape, output):
     """Reverse accumulation; returns adjoints for every node on the tape.
 
-    The result is indexable by node index; entry i is d(output)/d(node i).
+    The result is indexable by node index; entry i is d(output)/d(node i),
+    or None where the output does not depend on node i.
     """
     if not isinstance(output, Var) or output.tape is not tape:
         raise InvalidArgumentError("output is not a Var on this tape")
-    adj = [0.0] * len(tape.vals)
-    adj[output.idx] = 1.0
-    parents = tape.parents
-    partials = tape.partials
+    adj = [None] * len(tape)
+    adj[output.idx] = np.ones_like(output.val)
+    vals, args, links = tape.vals, tape.args, tape.links
     for i in range(output.idx, -1, -1):
-        a = adj[i]
-        if a == 0.0:
+        g = adj[i]
+        if g is None:
             continue
-        for p, g in zip(parents[i], partials[i]):
-            adj[p] += a * g
+        for p, vjp in links[i]:
+            c = vjp(g, vals[i], *args[i])
+            shape = np.shape(vals[p])
+            if np.shape(c) != shape:
+                c = _unbroadcast(c, shape)
+            adj[p] = c if adj[p] is None else adj[p] + c
     return adj
 
 
 def grad(output, leaves):
-    """Gradient of output with respect to a list of leaf Vars."""
+    """Gradient of output with respect to each leaf, in the leaf's shape.
+
+    Each gradient is a fresh writable array: adjoints inside backward may be
+    broadcast views or shared between nodes.
+    """
     adj = backward(output.tape, output)
-    return [adj[v.idx] for v in leaves]
+    return [np.zeros(v.shape) if adj[v.idx] is None else np.array(adj[v.idx])
+            for v in leaves]

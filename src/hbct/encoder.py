@@ -2,8 +2,10 @@
 SGD training loops for old (base-loss-only) and new (HBCT-aligned) generations.
 
 Encoders are tanh MLPs; a linear encoder is a single layer with no activation.
-All training runs on the scalar autodiff tape and is bit-reproducible for a
-fixed seed.  Old-model embeddings are computed once up front (the old model is
+One pipeline, :func:`embed_vars`, maps inputs to hyperboloid points: on plain
+arrays for embedding and evaluation, on array tape Vars (one leaf per
+parameter array) for training.  Training is bit-reproducible for a fixed
+seed.  Old-model embeddings are computed once up front (the old model is
 frozen) and enter the new model's loss as constants.
 """
 
@@ -18,9 +20,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape
 from .errors import InvalidArgumentError, TrainingFailureError, NumericalDomainError
-from .losses import AlignmentConfig, MlrHead, hexpm_origin, total_loss
-from .manifold import (DEGENERATE_NORM, ManifoldConfig, expm_origin, expm_origin_rows,
-                       rescale_clip, rescale_clip_rows, uncertainty_rows)
+from .losses import AlignmentConfig, mlr_logits, total_loss
+from .manifold import LorentzPoint, ManifoldConfig, hexpm_origin, rescale_clip, uncertainty
 
 CHECKPOINT_MAGIC = b"HBCT"
 CHECKPOINT_VERSION = 1
@@ -90,16 +91,6 @@ class EncoderModel:
     def hidden_dims(self):
         return tuple(W.shape[0] for W, _ in self.layers[:-1])
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Euclidean embedding z for one input (or a batch, row-wise)."""
-        h = np.asarray(x, dtype=np.float64)
-        last = len(self.layers) - 1
-        for i, (W, b) in enumerate(self.layers):
-            h = h @ W.T + b
-            if i < last:
-                h = np.tanh(h)
-        return h
-
     def copy(self, generation_tag=None):
         tag = self.generation_tag if generation_tag is None else generation_tag
         return EncoderModel([(W.copy(), b.copy()) for W, b in self.layers], tag)
@@ -112,11 +103,27 @@ class EncoderModel:
         return out
 
 
+def embed_vars(params, X, zeta, mcfg: ManifoldConfig):
+    """Encoder forward pass, rescale-clip and origin expmap over the rows of X.
+
+    ``params`` alternates layer weights and biases in EncoderModel.params()
+    order, as plain arrays or as tape Vars; tanh sits between layers only.
+    Returns (Z, (times, spaces)).
+    """
+    h = X
+    for i in range(0, len(params), 2):
+        if i:
+            h = ad.tanh(h)
+        h = h @ params[i].T + params[i + 1]
+    Z = rescale_clip(h, zeta, mcfg)
+    return Z, hexpm_origin(Z, mcfg)
+
+
 def embed(model: EncoderModel, x, policy: ClipPolicy, mcfg: ManifoldConfig):
     """x -> z (rescaled/clipped) -> hyperboloid point; returns (z, h)."""
-    z = model.forward(np.asarray(x, dtype=np.float64))
-    zp = rescale_clip(z, policy.zeta(model.generation_tag), mcfg)
-    return zp, expm_origin(zp, mcfg)
+    z, (time, space) = embed_vars(model.params(), np.asarray(x, dtype=np.float64),
+                                  policy.zeta(model.generation_tag), mcfg)
+    return z, LorentzPoint(float(time), space)
 
 
 def embed_batch(model: EncoderModel, X, policy: ClipPolicy, mcfg: ManifoldConfig):
@@ -124,63 +131,9 @@ def embed_batch(model: EncoderModel, X, policy: ClipPolicy, mcfg: ManifoldConfig
 
     Returns (Z, times, spaces, uncertainties); spaces has shape (N, d).
     """
-    Z = rescale_clip_rows(model.forward(np.asarray(X, dtype=np.float64)),
-                          policy.zeta(model.generation_tag), mcfg)
-    times, spaces = expm_origin_rows(Z, mcfg)
-    return Z, times, spaces, uncertainty_rows(times, spaces, mcfg)
-
-
-# ---------------------------------------------------------------------------
-# Tape-side building blocks
-
-def _vars_from(tape: Tape, arrays):
-    nested = []
-    for a in arrays:
-        if a.ndim == 1:
-            nested.append([tape.var(v) for v in a])
-        else:
-            nested.append([[tape.var(v) for v in row] for row in a])
-    return nested
-
-
-def _grads_like(adj, nested, arrays):
-    grads = []
-    for a, arr in zip(nested, arrays):
-        if arr.ndim == 1:
-            grads.append(np.array([adj[v.idx] for v in a]))
-        else:
-            grads.append(np.array([[adj[v.idx] for v in row] for row in a]))
-    return grads
-
-
-def _forward_vars(layer_vars, x):
-    h = list(x)
-    n_layers = len(layer_vars) // 2
-    for li in range(n_layers):
-        W = layer_vars[2 * li]
-        b = layer_vars[2 * li + 1]
-        out = [ad.add(ad.dot(Wr, h), bi) for Wr, bi in zip(W, b)]
-        if li < n_layers - 1:
-            out = [ad.tanh(o) for o in out]
-        h = out
-    return h
-
-
-def _rescale_clip_vars(z, zeta, d):
-    inv = 1.0 / math.sqrt(d)
-    zp = [ad.mul(zi, inv) for zi in z]
-    n = ad.norm(zp)
-    if ad.value(n) > zeta:
-        s = ad.div(zeta, n)
-        zp = [ad.mul(zi, s) for zi in zp]
-    return zp
-
-
-def embed_vars(layer_vars, x, zeta, mcfg: ManifoldConfig):
-    """Tape-side embed: returns the (time, space) scalar point."""
-    z = _forward_vars(layer_vars, x)
-    zp = _rescale_clip_vars(z, zeta, mcfg.dim_d)
-    return hexpm_origin(zp, mcfg)
+    Z, (times, spaces) = embed_vars(model.params(), np.asarray(X, dtype=np.float64),
+                                    policy.zeta(model.generation_tag), mcfg)
+    return Z, times, spaces, uncertainty((times, spaces), mcfg)
 
 
 # ---------------------------------------------------------------------------
@@ -213,15 +166,12 @@ def _train(X, y, num_classes, arch, mcfg, policy, tcfg, generation,
     aligned = align_cfg is not None and align_cfg.lambda_align > 0.0
     if aligned:
         # old model is frozen: embed the whole training set once, as constants
-        _, o_times, o_spaces, o_unc = embed_batch(old_model, X, policy, mcfg)
-        old_pts = [(float(t), [float(v) for v in s]) for t, s in zip(o_times, o_spaces)]
-        old_unc = [float(u) for u in o_unc]
+        _, old_times, old_spaces, old_unc = embed_batch(old_model, X, policy, mcfg)
     zeta = policy.zeta(generation)
     eff_align = align_cfg if aligned else AlignmentConfig(lambda_align=0.0)
 
     arrays = model.params() + [head]
     vel = [np.zeros_like(a) for a in arrays]
-    n_params_layers = len(model.params())
     epoch_losses = []
     step = 0
     for epoch in range(tcfg.epochs):
@@ -233,28 +183,19 @@ def _train(X, y, num_classes, arch, mcfg, policy, tcfg, generation,
             if aligned and len(idx) < 2:
                 continue  # contrastive loss needs >= 2 pairs
             tape = Tape()
-            nested = _vars_from(tape, arrays)
-            layer_vars = nested[:n_params_layers]
-            head_vars = MlrHead(nested[n_params_layers])
-            batch_new, labels, batch_old, unc = [], [], [], []
+            leaves = [tape.var(a) for a in arrays]
             try:
-                for i in idx:
-                    batch_new.append(embed_vars(layer_vars, [float(v) for v in X[i]],
-                                                zeta, mcfg))
-                    labels.append(int(y[i]))
-                    if aligned:
-                        batch_old.append(old_pts[i])
-                        unc.append(old_unc[i])
-                loss = total_loss(batch_new, labels, batch_old if aligned else None,
-                                  unc if aligned else None, head_vars, eff_align, mcfg)
+                # a non-finite value raises on the tape; numpy need not warn first
+                with np.errstate(all="ignore"):
+                    _, batch_new = embed_vars(leaves[:-1], X[idx], zeta, mcfg)
+                    loss = total_loss(batch_new, y[idx],
+                                      (old_times[idx], old_spaces[idx]) if aligned else None,
+                                      old_unc[idx] if aligned else None,
+                                      leaves[-1], eff_align, mcfg)
             except NumericalDomainError as e:
                 raise TrainingFailureError(f"loss diverged at step {step}: {e}",
                                            step=step) from e
-            if not math.isfinite(ad.value(loss)):
-                raise TrainingFailureError(f"non-finite loss at step {step}", step=step)
-            adj = ad.backward(tape, loss)
-            grads = _grads_like(adj, nested, arrays)
-            for a, g, v in zip(arrays, grads, vel):
+            for a, g, v in zip(arrays, ad.grad(loss, leaves), vel):
                 g = g + tcfg.weight_decay * a
                 v *= tcfg.momentum
                 v -= lr * g
@@ -262,7 +203,7 @@ def _train(X, y, num_classes, arch, mcfg, policy, tcfg, generation,
             if not all(np.all(np.isfinite(a)) for a in arrays):
                 raise TrainingFailureError(f"non-finite parameters at step {step}",
                                            step=step)
-            losses.append(ad.value(loss))
+            losses.append(float(loss.val))
             step += 1
         epoch_losses.append(float(np.mean(losses)) if losses else float("nan"))
     return model, head, epoch_losses
@@ -284,20 +225,9 @@ def train_new(X, y, num_classes, old_model: EncoderModel, align_cfg: AlignmentCo
                   init_from_old=init_from_old)
 
 
-def mlr_logits_batch(head: np.ndarray, spaces: np.ndarray, mcfg: ManifoldConfig):
-    """Vectorized MLR logits for rows of hyperboloid space coordinates."""
-    sqrt_K = math.sqrt(mcfg.curvature_K)
-    wn = np.linalg.norm(head, axis=1)
-    safe = np.where(wn < DEGENERATE_NORM, 1.0, wn)
-    s = spaces @ head.T
-    logits = (safe / sqrt_K) * np.arcsinh(sqrt_K * s / safe)
-    logits[:, wn < DEGENERATE_NORM] = 0.0
-    return logits
-
-
 def classification_accuracy(model, head, X, y, policy, mcfg):
-    _, _, spaces, _ = embed_batch(model, X, policy, mcfg)
-    pred = np.argmax(mlr_logits_batch(np.asarray(head), spaces, mcfg), axis=1)
+    _, times, spaces, _ = embed_batch(model, X, policy, mcfg)
+    pred = np.argmax(mlr_logits((times, spaces), head, mcfg), axis=1)
     return float(np.mean(pred == np.asarray(y)))
 
 

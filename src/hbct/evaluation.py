@@ -2,7 +2,8 @@
 and sequential-update compatibility matrices.
 
 Lorentz embedding sets are ranked by geodesic distance, Euclidean sets by
-cosine distance; mixing geometries between query and gallery is an error.
+cosine distance; mixing geometries, or Lorentz curvatures, between query and
+gallery is an error, and so is a non-finite embedding.
 Galleries are scanned exactly (no ANN index); ties break toward the lower
 gallery index so rankings are deterministic.
 """
@@ -48,6 +49,8 @@ class EmbeddingSet:
             raise InvalidArgumentError(f"unknown geometry {self.geometry!r}")
         if len(self.points) != len(self.labels):
             raise InvalidArgumentError("points and labels must have equal length")
+        if not np.isfinite(self.points).all():
+            raise InvalidArgumentError("embedding points must be finite")
 
     def __len__(self):
         return len(self.points)
@@ -70,6 +73,8 @@ def _query_ambient(query, gallery: EmbeddingSet) -> np.ndarray:
         raise InvalidArgumentError(
             f"query shape {q.shape} does not match gallery rows "
             f"{gallery.points.shape[1:]}")
+    if not np.isfinite(q).all():
+        raise InvalidArgumentError("query must be finite")
     return q
 
 
@@ -97,6 +102,10 @@ def _check_pairing(queries: EmbeddingSet, gallery: EmbeddingSet):
     if queries.geometry != gallery.geometry:
         raise InvalidArgumentError(
             f"geometry mismatch: queries {queries.geometry}, gallery {gallery.geometry}")
+    if queries.geometry == "lorentz" and queries.curvature_K != gallery.curvature_K:
+        raise InvalidArgumentError(
+            f"curvature mismatch: queries K={queries.curvature_K}, "
+            f"gallery K={gallery.curvature_K}")
     if len(gallery) == 0:
         raise InvalidArgumentError("empty gallery")
 

@@ -2,11 +2,15 @@
 uncertainty-adaptive RINCE, InfoNCE / mean-distortion ablation variants, and
 the combined training loss.
 
-Every function here is written against the scalar interface of
-:mod:`hbct.autodiff`, so the same code evaluates on plain floats (for tests
-and oracles) and on tape Vars (for training).  Hyperbolic points are passed as
-:class:`hbct.manifold.LorentzPoint` or as ``(time, space_sequence)`` pairs
-whose entries may be Vars.
+Each objective is written once over a batch of points ``(times (B,),
+spaces (B, d))`` with MLR head rows ``(C, d)``, using :mod:`hbct.autodiff`
+operations: the same code evaluates on plain arrays (tests, oracles,
+classification accuracy) and on tape Vars (training).  Per-sample terms come
+back with the batch shape, so a single point gives a scalar.  Points may also
+be given as LorentzPoints or lists of points (see :func:`hbct.manifold.points`).
+Per-lane branches (aperture saturation, exterior-angle clamps, degenerate head
+rows) select with ``where`` on sanitised arguments, so a masked lane neither
+raises nor leaks a non-finite value into the gradient.
 """
 
 from __future__ import annotations
@@ -14,9 +18,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import autodiff as ad
 from .errors import InvalidArgumentError, NumericalDomainError
-from .manifold import DEGENERATE_NORM, SERIES_EPS, LorentzPoint, ManifoldConfig
+from .manifold import DEGENERATE_NORM, ManifoldConfig, hdist, hinner, points
+# re-exported: callers build batches with it
+from .manifold import hexpm_origin  # noqa: F401
 
 Q_CLAMP_LO = 1e-3  # adaptive q is bounded away from 0 (RINCE divides by q)
 
@@ -60,129 +68,51 @@ class AlignmentConfig:
             raise InvalidArgumentError(f"unknown contrast_kind {self.contrast_kind!r}")
 
 
-class MlrHead:
-    """Per-class decision hyperplanes, one origin-tangent vector per class.
-
-    Rows hold the space part of w_y in the tangent space at the origin
-    (the time component of every w_y is 0).
-    """
-
-    def __init__(self, rows):
-        self.rows = [list(r) for r in rows]
-        if not self.rows:
-            raise InvalidArgumentError("head needs at least one class")
-        width = len(self.rows[0])
-        if any(len(r) != width for r in self.rows):
-            raise InvalidArgumentError("head rows have inconsistent widths")
-
-    @property
-    def num_classes(self):
-        return len(self.rows)
-
-
-def _hp(h):
-    """Normalize a point argument to (time, space_list)."""
-    if isinstance(h, LorentzPoint):
-        return h.time, list(h.space)
-    time, space = h
-    return time, list(space)
-
-
-# ---------------------------------------------------------------------------
-# Differentiable hyperbolic primitives (scalar interface mirrors manifold.py)
-
-def hexpm_origin(z, mcfg: ManifoldConfig):
-    """Exponential map at the origin over scalars; returns (time, space)."""
-    sqrt_K = math.sqrt(mcfg.curvature_K)
-    a = ad.mul(ad.norm(z), sqrt_K)
-    time = ad.div(ad.cosh(a), sqrt_K)
-    if ad.value(a) < SERIES_EPS:
-        # series limit of sinh(a)/a; constant coefficient keeps the tape finite
-        coeff = 1.0
-    else:
-        coeff = ad.div(ad.sinh(a), a)
-    return time, [ad.mul(coeff, zi) for zi in z]
-
-
-def hinner(x, y):
-    """Lorentzian inner product over scalars."""
-    xt, xs = _hp(x)
-    yt, ys = _hp(y)
-    return ad.sub(ad.dot(xs, ys), ad.mul(xt, yt))
-
-
-def hdist(x, y, mcfg: ManifoldConfig):
-    """Geodesic distance over scalars."""
-    K = mcfg.curvature_K
-    arg = ad.mul(hinner(x, y), -K)
-    return ad.div(ad.acosh(arg), math.sqrt(K))
-
-
 def pair_distance(x, y, cfg: AlignmentConfig, mcfg: ManifoldConfig):
-    """The alignment distance D per cfg.distance_kind."""
+    """The alignment distance D per cfg.distance_kind, broadcast over the batch."""
     if cfg.distance_kind == "geodesic":
         return hdist(x, y, mcfg)
     if cfg.distance_kind == "lorentz_inner":
-        return ad.neg(hinner(x, y))
+        return -hinner(x, y)
     # squared Lorentz distance ||x - y||_L^2 = -2/K - 2<x, y>_L
-    return ad.sub(-2.0 / mcfg.curvature_K, ad.mul(2.0, hinner(x, y)))
+    return -2.0 / mcfg.curvature_K - 2.0 * hinner(x, y)
 
 
 # ---------------------------------------------------------------------------
 # Base classification loss
 
-def _row_norms(head: MlrHead):
-    """Row norms of the head, shared across samples recorded on one tape."""
-    tape = None
-    for w in head.rows:
-        for x in w:
-            if isinstance(x, ad.Var):
-                tape = x.tape
-                break
-        if tape is not None:
-            break
-    cache = getattr(head, "_norm_cache", None)
-    if tape is not None and cache is not None and cache[0] is tape:
-        return cache[1]
-    norms = [ad.norm(w) for w in head.rows]
-    if tape is not None:
-        head._norm_cache = (tape, norms)
-    return norms
-
-
-def mlr_logits(h, head: MlrHead, mcfg: ManifoldConfig):
+def mlr_logits(h, head, mcfg: ManifoldConfig):
     """Hyperbolic MLR scores: sign(<w,h>_L) ||w||_L d(h, hyperplane_w).
 
-    With w = [0, w_space] the signed form collapses to the odd function
-    ||w|| / sqrt(K) * asinh(sqrt(K) <w_space, h_space> / ||w||).
-    Degenerate rows (||w|| < DEGENERATE_NORM) score 0.
+    Head rows hold the space part of each class's w_y in the tangent space at
+    the origin (the time component is 0), so the signed form collapses to the
+    odd function ||w|| / sqrt(K) * asinh(sqrt(K) <w_space, h_space> / ||w||).
+    Degenerate rows (||w|| < DEGENERATE_NORM) score 0.  Returns (..., C).
     """
     sqrt_K = math.sqrt(mcfg.curvature_K)
-    _, hs = _hp(h)
-    logits = []
-    for w, wn in zip(head.rows, _row_norms(head)):
-        if ad.value(wn) < DEGENERATE_NORM:
-            logits.append(0.0)
-            continue
-        s = ad.dot(w, hs)
-        logits.append(ad.mul(ad.div(wn, sqrt_K), ad.asinh(ad.div(ad.mul(s, sqrt_K), wn))))
-    return logits
+    _, spaces = points(h)
+    head = ad.array(head)
+    if head.ndim != 2 or len(head) == 0:
+        raise InvalidArgumentError("head must be a non-empty (classes, d) matrix")
+    wn = ad.norm(head)
+    degenerate = ad.value(wn) < DEGENERATE_NORM
+    wn = ad.where(degenerate, 1.0, wn)
+    s = spaces @ head.T
+    return ad.where(degenerate, 0.0, (wn / sqrt_K) * ad.asinh(s * sqrt_K / wn))
 
 
-def _log_softmax_at(logits, label):
-    shift = max(ad.value(x) for x in logits)
-    total = 0.0
-    for x in logits:
-        total = ad.add(total, ad.exp(ad.sub(x, shift)))
-    return ad.sub(ad.sub(logits[label], shift), ad.log(total))
-
-
-def base_loss(h, label, head: MlrHead, mcfg: ManifoldConfig):
-    """Cross-entropy of the softmax over MLR logits at the true label."""
+def base_loss(h, labels, head, mcfg: ManifoldConfig):
+    """Cross-entropy of the softmax over MLR logits at each true label."""
     logits = mlr_logits(h, head, mcfg)
-    if not 0 <= label < len(logits):
-        raise InvalidArgumentError(f"label {label} out of range")
-    return ad.neg(_log_softmax_at(logits, label))
+    labels = np.asarray(labels)
+    n_classes = logits.shape[-1]
+    if labels.shape != logits.shape[:-1]:
+        raise InvalidArgumentError("labels must align with the batch")
+    if np.any((labels < 0) | (labels >= n_classes)):
+        raise InvalidArgumentError(f"label out of range for {n_classes} classes")
+    shifted = logits - ad.value(logits).max(axis=-1, keepdims=True)
+    log_probs = shifted - ad.log(ad.sum(ad.exp(shifted), -1, keepdims=True))
+    return -log_probs[(*np.indices(labels.shape, sparse=True), labels)]
 
 
 # ---------------------------------------------------------------------------
@@ -194,59 +124,62 @@ def aperture(h_o, cfg: AlignmentConfig, mcfg: ManifoldConfig):
     asin(2*eps / (sqrt(K) ||h_o_space||)), saturating at pi/2 once the point
     is close enough to the origin (including exactly at it).
     """
-    _, hs = _hp(h_o)
-    n = ad.norm(hs)
-    if ad.value(n) == 0.0:
-        return math.pi / 2.0
-    arg = ad.div(2.0 * cfg.epsilon_aperture / math.sqrt(mcfg.curvature_K), n)
-    if ad.value(arg) >= 1.0:
-        return math.pi / 2.0
-    return ad.asin(arg)
+    _, spaces = points(h_o)
+    n = ad.norm(spaces)
+    at_origin = ad.value(n) == 0.0
+    c = 2.0 * cfg.epsilon_aperture / math.sqrt(mcfg.curvature_K)
+    arg = c / ad.where(at_origin, 1.0, n)
+    saturated = at_origin | (ad.value(arg) >= 1.0)
+    return ad.where(saturated, math.pi / 2.0, ad.asin(ad.where(saturated, 0.0, arg)))
 
 
 def exterior_angle(h_o, h_n, cfg: AlignmentConfig, mcfg: ManifoldConfig):
     """Exterior angle at h_o of the geodesic triangle (origin, h_o, h_n)."""
     K = mcfg.curvature_K
-    ot, os_ = _hp(h_o)
-    nt, _ = _hp(h_n)
-    o_norm = ad.norm(os_)
-    if ad.value(o_norm) == 0.0:
+    o_times, o_spaces = points(h_o)
+    n_times, _ = points(h_n)
+    o_norm = ad.norm(o_spaces)
+    if np.any(ad.value(o_norm) == 0.0):
         raise NumericalDomainError("exterior angle undefined at the origin")
-    c = ad.mul(hinner(h_o, h_n), K)
-    num = ad.add(nt, ad.mul(ot, c))
-    sq = ad.sub(ad.mul(c, c), 1.0)
-    if ad.value(sq) < 1e-12:
-        sq = 1e-12  # clamp; gradient through the clamped branch is dropped
-    den = ad.mul(o_norm, ad.sqrt(sq))
-    arg = ad.div(num, den)
+    c = hinner(h_o, h_n) * K
+    num = n_times + o_times * c
+    sq = c * c - 1.0
+    # clamp; the gradient through clamped lanes is dropped
+    sq = ad.where(ad.value(sq) < 1e-12, 1e-12, sq)
+    arg = num / (o_norm * ad.sqrt(sq))
     v = ad.value(arg)
-    if v >= 1.0:
-        return 0.0
-    if v <= -1.0:
-        return math.pi
-    return ad.acos(arg)
+    inside = np.abs(v) < 1.0
+    return ad.where(inside, ad.acos(ad.where(inside, arg, 0.0)),
+                    np.where(v >= 1.0, 0.0, math.pi))
 
 
 def entailment_loss(h_n, h_o, cfg: AlignmentConfig, mcfg: ManifoldConfig):
     """Hinge on how far h_n pokes outside h_o's entailment cone."""
-    return ad.max0(ad.sub(exterior_angle(h_o, h_n, cfg, mcfg), aperture(h_o, cfg, mcfg)))
+    return ad.max0(exterior_angle(h_o, h_n, cfg, mcfg) - aperture(h_o, cfg, mcfg))
 
 
 # ---------------------------------------------------------------------------
 # Contrastive alignment
 
-def _check_batches(batch_new, batch_old):
-    if len(batch_new) != len(batch_old):
+def _aligned(batch_new, batch_old, min_size):
+    new, old = points(batch_new), points(batch_old)
+    if new[0].ndim != 1 or new[0].shape != old[0].shape:
         raise InvalidArgumentError("old/new batches must be aligned by sample")
-    if len(batch_new) < 2:
-        raise InvalidArgumentError("contrastive losses need batch size >= 2")
+    if len(new[0]) < min_size:
+        raise InvalidArgumentError(f"this loss needs batch size >= {min_size}")
+    return new, old
 
 
-def _distance_matrix(batch_new, batch_old, cfg, mcfg):
-    return [
-        [pair_distance(hn, ho, cfg, mcfg) for ho in batch_old]
-        for hn in batch_new
-    ]
+def _distance_matrix(new, old, cfg, mcfg):
+    """D[i, j] = D(new_i, old_j) over the whole batch."""
+    (n_times, n_spaces), (o_times, o_spaces) = new, old
+    return pair_distance((n_times[:, None], n_spaces[:, None, :]), (o_times, o_spaces),
+                         cfg, mcfg)
+
+
+def _diagonal(D):
+    idx = np.arange(D.shape[0])
+    return D[idx, idx]
 
 
 def contrastive_loss(batch_new, batch_old, uncertainties_old, cfg: AlignmentConfig,
@@ -257,51 +190,34 @@ def contrastive_loss(batch_new, batch_old, uncertainties_old, cfg: AlignmentConf
                  + (1/q_i) (beta * sum_j exp(-D_ij / tau))^{q_i},
     where the negative sum runs over the whole batch including j == i.
     In adaptive mode q_i is the old embedding's uncertainty clamped to
-    [1e-3, 1]; in fixed mode it is cfg.q_fixed.
+    [Q_CLAMP_LO, 1]; in fixed mode it is cfg.q_fixed.
     """
-    _check_batches(batch_new, batch_old)
-    n = len(batch_new)
+    new, old = _aligned(batch_new, batch_old, 2)
+    n = len(new[0])
     if cfg.q_mode == "adaptive":
         if uncertainties_old is None or len(uncertainties_old) != n:
             raise InvalidArgumentError("adaptive q needs one old uncertainty per pair")
-        qs = [min(max(float(u), Q_CLAMP_LO), 1.0) for u in uncertainties_old]
+        q = np.clip(np.asarray(uncertainties_old, dtype=np.float64), Q_CLAMP_LO, 1.0)
     else:
-        qs = [cfg.q_fixed] * n
-    D = _distance_matrix(batch_new, batch_old, cfg, mcfg)
-    total = 0.0
-    for i in range(n):
-        q = qs[i]
-        pos = ad.exp(ad.mul(D[i][i], -q / cfg.tau))
-        neg = 0.0
-        for j in range(n):
-            neg = ad.add(neg, ad.exp(ad.mul(D[i][j], -1.0 / cfg.tau)))
-        term = ad.add(ad.div(ad.neg(pos), q), ad.div(ad.powr(ad.mul(neg, cfg.beta), q), q))
-        total = ad.add(total, term)
-    return ad.div(total, n)
+        q = np.full(n, cfg.q_fixed)
+    D = _distance_matrix(new, old, cfg, mcfg)
+    pos = ad.exp(_diagonal(D) * (-q / cfg.tau))
+    neg = ad.sum(ad.exp(D * (-1.0 / cfg.tau)), -1)
+    return ad.mean(-pos / q + ad.powr(neg * cfg.beta, q) / q)
 
 
 def infonce_loss(batch_new, batch_old, cfg: AlignmentConfig, mcfg: ManifoldConfig):
     """Standard softmax contrastive loss over the alignment distance."""
-    _check_batches(batch_new, batch_old)
-    n = len(batch_new)
-    D = _distance_matrix(batch_new, batch_old, cfg, mcfg)
-    total = 0.0
-    for i in range(n):
-        neg = 0.0
-        for j in range(n):
-            neg = ad.add(neg, ad.exp(ad.mul(D[i][j], -1.0 / cfg.tau)))
-        total = ad.add(total, ad.add(ad.div(D[i][i], cfg.tau), ad.log(neg)))
-    return ad.div(total, n)
+    new, old = _aligned(batch_new, batch_old, 2)
+    D = _distance_matrix(new, old, cfg, mcfg)
+    return ad.mean(_diagonal(D) / cfg.tau
+                   + ad.log(ad.sum(ad.exp(D * (-1.0 / cfg.tau)), -1)))
 
 
 def mean_distortion_loss(batch_new, batch_old, cfg: AlignmentConfig, mcfg: ManifoldConfig):
     """Mean alignment distance over aligned pairs."""
-    if len(batch_new) != len(batch_old):
-        raise InvalidArgumentError("old/new batches must be aligned by sample")
-    total = 0.0
-    for hn, ho in zip(batch_new, batch_old):
-        total = ad.add(total, pair_distance(hn, ho, cfg, mcfg))
-    return ad.div(total, len(batch_new))
+    new, old = _aligned(batch_new, batch_old, 1)
+    return ad.mean(pair_distance(new, old, cfg, mcfg))
 
 
 def contrast_term(batch_new, batch_old, uncertainties_old, cfg: AlignmentConfig,
@@ -317,25 +233,16 @@ def contrast_term(batch_new, batch_old, uncertainties_old, cfg: AlignmentConfig,
 # ---------------------------------------------------------------------------
 # Combined objective
 
-def total_loss(batch_new, labels, batch_old, uncertainties_old, head: MlrHead,
+def total_loss(batch_new, labels, batch_old, uncertainties_old, head,
                cfg: AlignmentConfig, mcfg: ManifoldConfig):
     """L = mean L_base + lambda * (lambda_entail * mean L_entail + L_contrast).
 
     With lambda_align == 0 this returns the mean base loss bit-for-bit (no
     alignment terms are evaluated at all).
     """
-    if len(batch_new) != len(labels):
-        raise InvalidArgumentError("labels must align with the batch")
-    base = 0.0
-    for h, y in zip(batch_new, labels):
-        base = ad.add(base, base_loss(h, y, head, mcfg))
-    base = ad.div(base, len(batch_new))
+    base = ad.mean(base_loss(batch_new, labels, head, mcfg))
     if cfg.lambda_align == 0.0:
         return base
-    entail = 0.0
-    for hn, ho in zip(batch_new, batch_old):
-        entail = ad.add(entail, entailment_loss(hn, ho, cfg, mcfg))
-    entail = ad.div(entail, len(batch_new))
+    entail = ad.mean(entailment_loss(batch_new, batch_old, cfg, mcfg))
     contrast = contrast_term(batch_new, batch_old, uncertainties_old, cfg, mcfg)
-    align = ad.add(ad.mul(entail, cfg.lambda_entail), contrast)
-    return ad.add(base, ad.mul(align, cfg.lambda_align))
+    return base + (entail * cfg.lambda_entail + contrast) * cfg.lambda_align

@@ -1,9 +1,17 @@
-"""Lorentz-model primitives for hyperbolic space of curvature -K.
+"""Lorentz-model geometry for hyperbolic space of curvature -K.
 
 Points live on the upper sheet of the hyperboloid
     {x in R^(d+1) : <x, x>_L = -1/K, x_time > 0},
 where the Lorentzian inner product is <x, y>_L = <x_space, y_space> - x_time * y_time.
 All operations work in float64 and keep results on-manifold to ~1e-9.
+
+The formulas are written once over batches of points held as a pair
+``(times, spaces)``: ``times`` has the batch shape and ``spaces`` one more
+trailing axis of length d, so a single point is the empty batch shape.  They
+are built from :mod:`hbct.autodiff` operations, so training differentiates
+the same code that embedding and evaluation run on plain arrays.  The
+per-point API (``expm_origin``, ``geodesic_distance``, ``uncertainty``, ...)
+validates its inputs and calls the batched forms.
 
 Exponential/logarithmic maps are provided only at the hyperbolic origin
 [sqrt(1/K), 0, ..., 0]; that is the only base point the rest of the package uses.
@@ -16,16 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericalDomainError
+from . import autodiff as ad
+from .errors import InvalidArgumentError
 
-# Domain policy for acosh/asin/acos: arguments are clamped into the closed
-# valid domain with CLAMP_SLACK; violations beyond DOMAIN_TOL raise.
-CLAMP_SLACK = 1e-12
-DOMAIN_TOL = 1e-6
-# acosh arguments this close above 1 are treated as exactly 1: the Lorentz
-# inner product of a point with itself lands at -1/K only up to round-off, and
-# acosh amplifies that noise to sqrt(2 * eps), so d(x, x) would not vanish.
-ACOSH_SNAP = 1e-9
 # sinh(a)/a and a/sinh(a) switch to their series limit 1 below this argument.
 SERIES_EPS = 1e-8
 # vectors shorter than this count as zero (degenerate MLR hyperplanes).
@@ -86,20 +87,81 @@ class TangentVector:
         return np.concatenate(([self.time], self.space))
 
 
-def _as_ambient(x) -> np.ndarray:
+def points(x):
+    """(times, spaces) of a batch: a LorentzPoint, a (time, space) pair whose
+    entries may be Vars, or a sequence of plain points (stacked)."""
     if isinstance(x, LorentzPoint):
-        return x.ambient
-    if isinstance(x, TangentVector):
+        return np.float64(x.time), x.space
+    if isinstance(x, tuple):
+        time, space = x
+        return ad.array(time), ad.array(space)
+    pairs = [points(p) for p in x]
+    return (np.array([t for t, _ in pairs], dtype=np.float64),
+            np.array([s for _, s in pairs], dtype=np.float64))
+
+
+def _as_ambient(x) -> np.ndarray:
+    if isinstance(x, (LorentzPoint, TangentVector)):
         return x.ambient
     return np.asarray(x, dtype=np.float64)
 
 
+def hinner(x, y):
+    """Lorentzian inner product <x, y>_L, broadcast over the batch."""
+    xt, xs = points(x)
+    yt, ys = points(y)
+    return ad.sum(xs * ys, -1) - xt * yt
+
+
+def hdist(x, y, mcfg: ManifoldConfig):
+    """Geodesic distance d(x, y) = (1/sqrt(K)) * acosh(-K * <x, y>_L)."""
+    K = mcfg.curvature_K
+    return ad.acosh(hinner(x, y) * -K) / math.sqrt(K)
+
+
+def hexpm_origin(z, mcfg: ManifoldConfig):
+    """Exponential map at the origin of tangent vectors [0, z] (rows of z).
+
+    expm_0(v) = cosh(sqrt(K)||z||) * 0bar + sinh(sqrt(K)||z||)/(sqrt(K)||z||) * [0, z];
+    the sinh(a)/a coefficient is the constant 1 for a < SERIES_EPS.
+    Returns (times, spaces).
+    """
+    sqrt_K = math.sqrt(mcfg.curvature_K)
+    z = ad.array(z)
+    a = sqrt_K * ad.norm(z)
+    series = ad.value(a) < SERIES_EPS
+    safe = ad.where(series, 1.0, a)
+    coeff = ad.where(series, 1.0, ad.sinh(safe) / safe)
+    return ad.cosh(a) / sqrt_K, coeff[..., None] * z
+
+
+def rescale_clip(z, zeta: float, cfg: ManifoldConfig):
+    """Rescale embeddings (rows of z) by 1/sqrt(d), then clip each norm at zeta."""
+    if not (zeta > 0):
+        raise InvalidArgumentError(f"zeta must be > 0, got {zeta}")
+    z = ad.array(z) / math.sqrt(cfg.dim_d)
+    n = ad.norm(z, keepdims=True)
+    over = ad.value(n) > zeta
+    return z * ad.where(over, zeta / ad.where(over, n, 1.0), 1.0)
+
+
+def uncertainty(x, cfg: ManifoldConfig):
+    """Hyperbolic uncertainty 1 - (1/sqrt(K)) * ||x_space|| / x_time.
+
+    For a point lifted from z this equals 1 - (1/sqrt(K)) * tanh(sqrt(K)||z||),
+    strictly decreasing in ||z||.  Bounded in [0, 1] only for K = 1; for other
+    curvatures large-norm embeddings can push the value negative.
+    """
+    times, spaces = points(x)
+    return 1.0 - ad.norm(spaces) / (math.sqrt(cfg.curvature_K) * times)
+
+
 def lorentz_inner(x, y) -> float:
-    """<x, y>_L = <x_space, y_space> - x_time * y_time."""
+    """<x, y>_L = <x_space, y_space> - x_time * y_time of two ambient vectors."""
     xa, ya = _as_ambient(x), _as_ambient(y)
     if xa.shape != ya.shape:
         raise InvalidArgumentError(f"dimension mismatch: {xa.shape} vs {ya.shape}")
-    return float(np.dot(xa[1:], ya[1:]) - xa[0] * ya[0])
+    return float(hinner((xa[0], xa[1:]), (ya[0], ya[1:])))
 
 
 def lift(space, cfg: ManifoldConfig) -> LorentzPoint:
@@ -116,45 +178,20 @@ def lift(space, cfg: ManifoldConfig) -> LorentzPoint:
     return LorentzPoint(time, space)
 
 
-def _acosh_clamped(arg: float) -> float:
-    if arg < 1.0 - DOMAIN_TOL:
-        raise NumericalDomainError(f"acosh argument {arg} below 1 by more than {DOMAIN_TOL}")
-    if arg < 1.0 + ACOSH_SNAP:
-        return 0.0
-    return math.acosh(arg)
-
-
 def geodesic_distance(x: LorentzPoint, y: LorentzPoint, cfg: ManifoldConfig) -> float:
-    """d(x, y) = (1/sqrt(K)) * acosh(-K * <x, y>_L)."""
-    K = cfg.curvature_K
-    arg = -K * lorentz_inner(x, y)
-    return _acosh_clamped(arg) / math.sqrt(K)
+    """d(x, y) between two points; raises NumericalDomainError off the manifold."""
+    return float(hdist(x, y, cfg))
 
 
 def expm_origin(z, cfg: ManifoldConfig) -> LorentzPoint:
-    """Exponential map at the origin of the tangent vector [0, z].
-
-    expm_0(v) = cosh(sqrt(K)||z||) * 0bar + sinh(sqrt(K)||z||)/(sqrt(K)||z||) * [0, z].
-    """
+    """Exponential map at the origin of one tangent vector [0, z]."""
     z = np.asarray(z, dtype=np.float64)
     if z.shape != (cfg.dim_d,):
         raise InvalidArgumentError(f"z must have shape ({cfg.dim_d},), got {z.shape}")
     if not np.all(np.isfinite(z)):
         raise InvalidArgumentError("z has non-finite entries")
-    times, spaces = expm_origin_rows(z[None], cfg)
-    return LorentzPoint(float(times[0]), spaces[0])
-
-
-def expm_origin_rows(Z: np.ndarray, cfg: ManifoldConfig):
-    """expm_origin over the rows of an (N, d) array; returns (times, spaces).
-
-    The sinh(a)/a coefficient switches to its series limit 1 for a < SERIES_EPS.
-    """
-    sqrt_K = math.sqrt(cfg.curvature_K)
-    a = sqrt_K * np.linalg.norm(Z, axis=1)
-    times = np.cosh(a) / sqrt_K
-    coeff = np.where(a < SERIES_EPS, 1.0, np.sinh(a) / np.where(a == 0, 1.0, a))
-    return times, coeff[:, None] * Z
+    time, space = hexpm_origin(z, cfg)
+    return LorentzPoint(float(time), space)
 
 
 def logm_origin(x: LorentzPoint, cfg: ManifoldConfig) -> TangentVector:
@@ -162,10 +199,8 @@ def logm_origin(x: LorentzPoint, cfg: ManifoldConfig) -> TangentVector:
 
     Returns the tangent vector [0, z] with expm_origin(z) == x.
     """
-    K = cfg.curvature_K
-    sqrt_K = math.sqrt(K)
-    arg = sqrt_K * x.time  # equals -K * <0bar, x>_L
-    a = _acosh_clamped(arg)
+    sqrt_K = math.sqrt(cfg.curvature_K)
+    a = float(ad.acosh(sqrt_K * x.time))  # sqrt(K) * x_time equals -K * <0bar, x>_L
     # proj_0bar(x) = [0, x_space]; coefficient a / sinh(a) with series limit 1.
     coeff = 1.0 if a < SERIES_EPS else a / math.sinh(a)
     return TangentVector(0.0, coeff * x.space, cfg.origin)
@@ -181,37 +216,6 @@ def project_tangent(p: LorentzPoint, u, cfg: ManifoldConfig) -> TangentVector:
         raise InvalidArgumentError(f"u must have shape ({cfg.dim_d + 1},), got {ua.shape}")
     out = ua + cfg.curvature_K * p.ambient * lorentz_inner(p, ua)
     return TangentVector(float(out[0]), out[1:], p)
-
-
-def rescale_clip(z, zeta: float, cfg: ManifoldConfig) -> np.ndarray:
-    """Rescale an embedding by 1/sqrt(d), then clip its norm at zeta."""
-    return rescale_clip_rows(np.asarray(z, dtype=np.float64)[None], zeta, cfg)[0]
-
-
-def rescale_clip_rows(Z: np.ndarray, zeta: float, cfg: ManifoldConfig) -> np.ndarray:
-    """rescale_clip over the rows of an (N, d) array; returns a new array."""
-    if not (zeta > 0):
-        raise InvalidArgumentError(f"zeta must be > 0, got {zeta}")
-    Z = np.asarray(Z, dtype=np.float64) / math.sqrt(cfg.dim_d)
-    norms = np.linalg.norm(Z, axis=1)
-    over = norms > zeta
-    Z[over] *= (zeta / norms[over])[:, None]
-    return Z
-
-
-def uncertainty(x: LorentzPoint, cfg: ManifoldConfig) -> float:
-    """Hyperbolic uncertainty 1 - (1/sqrt(K)) * ||x_space|| / x_time.
-
-    For a point lifted from z this equals 1 - (1/sqrt(K)) * tanh(sqrt(K)||z||),
-    strictly decreasing in ||z||.  Bounded in [0, 1] only for K = 1; for other
-    curvatures large-norm embeddings can push the value negative.
-    """
-    return float(uncertainty_rows(np.array([x.time]), x.space[None], cfg)[0])
-
-
-def uncertainty_rows(times: np.ndarray, spaces: np.ndarray, cfg: ManifoldConfig):
-    """uncertainty for each row of (times (N,), spaces (N, d))."""
-    return 1.0 - np.linalg.norm(spaces, axis=1) / (math.sqrt(cfg.curvature_K) * times)
 
 
 def on_manifold_defect(x: LorentzPoint, cfg: ManifoldConfig) -> float:

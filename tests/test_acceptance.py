@@ -18,7 +18,7 @@ from hbct import losses
 from hbct.encoder import ClipPolicy, TrainConfig, train_old
 from hbct.evaluation import (EmbeddingSet, cmc_at_k, evaluate_metric,
                              mean_average_precision, p_com, retrieve)
-from hbct.losses import (AlignmentConfig, MlrHead, base_loss, contrastive_loss,
+from hbct.losses import (AlignmentConfig, base_loss, contrastive_loss,
                          entailment_loss, hexpm_origin, hinner, infonce_loss,
                          mean_distortion_loss, total_loss)
 from hbct.manifold import (ManifoldConfig, expm_origin, geodesic_distance,
@@ -78,13 +78,14 @@ def test_criterion_01_manifold_invariants(capsys):
 
 def _check_grad(build, x0, h=1e-6):
     """Max elementwise error between tape and central-difference gradients."""
+    x0 = np.asarray(x0, dtype=np.float64)
     tape = ad.Tape()
-    leaves = [tape.var(v) for v in x0]
-    g_ad = ad.grad(build(leaves), leaves)
+    leaf = tape.var(x0)
+    g_ad = ad.grad(build(leaf), [leaf])[0]
     err = 0.0
     for i in range(len(x0)):
-        xp = list(x0)
-        xm = list(x0)
+        xp = x0.copy()
+        xm = x0.copy()
         xp[i] += h
         xm[i] -= h
         fd = (build(xp) - build(xm)) / (2.0 * h)
@@ -157,8 +158,7 @@ def test_criterion_02_gradient_oracle(capsys):
 
         def build(xs):
             h = hexpm_origin(xs[:3], MCFG)
-            head = MlrHead([xs[3 + 3 * c:6 + 3 * c] for c in range(4)])
-            return base_loss(h, label, head, MCFG)
+            return base_loss(h, label, xs[3:].reshape(4, 3), MCFG)
 
         errs.append(_check_grad(build, x0))
     worst["base"] = max(errs)
@@ -187,8 +187,7 @@ def test_criterion_02_gradient_oracle(capsys):
             uncs = rng.uniform(0.1, 0.9, size=len(z_old))
 
             def build(xs):
-                new_pts = [hexpm_origin(xs[3 * i:3 * i + 3], MCFG)
-                           for i in range(len(old_pts))]
+                new_pts = hexpm_origin(xs.reshape(len(old_pts), 3), MCFG)
                 return loss_call(new_pts, old_pts, uncs)
 
             errs.append(_check_grad(build, [v for z in z_new for v in z]))
@@ -225,12 +224,10 @@ def test_criterion_02_gradient_oracle(capsys):
         old_pts = [hexpm_origin(list(z), MCFG) for z in z_old]
         uncs = rng.uniform(0.1, 0.9, size=len(z_old))
         labels = [int(v) for v in rng.integers(0, 4, size=len(z_old))]
-        head = MlrHead([list(r) for r in rows])
 
         def build(xs):
-            new_pts = [hexpm_origin(xs[3 * i:3 * i + 3], MCFG)
-                       for i in range(len(old_pts))]
-            return total_loss(new_pts, labels, old_pts, uncs, head, tcfg, MCFG)
+            new_pts = hexpm_origin(xs.reshape(len(old_pts), 3), MCFG)
+            return total_loss(new_pts, labels, old_pts, uncs, rows, tcfg, MCFG)
 
         errs.append(_check_grad(build, [v for z in z_new for v in z]))
     worst["total"] = max(errs)

@@ -1,5 +1,6 @@
 """Retrieval metrics against brute-force dual implementations, compatibility
-metric arithmetic, and the embedding store format."""
+metric arithmetic, inputs that evaluation must refuse, and the embedding
+store format."""
 
 import math
 import struct
@@ -117,6 +118,44 @@ class TestRetrieve:
         eu = EmbeddingSet(rng.normal(size=(4, 4)), [0, 1, 0, 1], "euclidean")
         with pytest.raises(InvalidArgumentError):
             cmc_at_k(le, eu, 1)
+
+
+class TestFailsClosed:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = lorentz_set(np.random.default_rng(40), 3).points
+        pts[1, 2] = bad
+        with pytest.raises(InvalidArgumentError):
+            EmbeddingSet(pts, [0, 1, 0])
+
+    def test_nan_query_rejected(self):
+        # every distance would be NaN and the stable sort would call index 0 a hit
+        g = lorentz_set(np.random.default_rng(41), 6)
+        with pytest.raises(InvalidArgumentError):
+            retrieve(np.full(4, np.nan), g)
+
+    def test_nan_store_rejected_on_load(self, tmp_path):
+        path = tmp_path / "set.emb"
+        save_embedding_set(path, lorentz_set(np.random.default_rng(42), 4))
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<d", data, 32 + 8, math.nan)  # row 0, first space entry
+        path.write_bytes(bytes(data))
+        with pytest.raises(InvalidArgumentError):
+            load_embedding_set(path)
+
+    def test_curvature_mismatch_rejected(self):
+        rng = np.random.default_rng(43)
+        g = lorentz_set(rng, 6)
+        q1 = lorentz_set(rng, 4)
+        q2 = EmbeddingSet(q1.points, q1.labels, "lorentz", 2.0)
+        assert 0.0 <= cmc_at_k(q1, g, 1) <= 1.0
+        for metric in ("cmc@1", "map"):
+            with pytest.raises(InvalidArgumentError):
+                evaluate_metric(q2, g, metric)
+        # Euclidean sets carry no curvature to compare
+        e1 = EmbeddingSet(rng.normal(size=(4, 3)), [0, 1, 0, 1], "euclidean", 1.0)
+        e2 = EmbeddingSet(rng.normal(size=(4, 3)), [0, 1, 0, 1], "euclidean", 2.0)
+        assert 0.0 <= cmc_at_k(e1, e2, 1) <= 1.0
 
 
 class TestCmc:

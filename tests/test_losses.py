@@ -1,5 +1,6 @@
 """Objective functions checked against closed forms and independent numpy
-re-implementations (the oracles share no code with the package)."""
+re-implementations (the oracles share no code with the package), plus lane
+isolation of the batched forms."""
 
 import math
 
@@ -9,11 +10,11 @@ import pytest
 from hbct import autodiff as ad
 from hbct.autodiff import Tape
 from hbct.errors import InvalidArgumentError, NumericalDomainError
-from hbct.losses import (AlignmentConfig, MlrHead, aperture, base_loss,
+from hbct.losses import (AlignmentConfig, aperture, base_loss,
                          contrastive_loss, entailment_loss, exterior_angle,
-                         infonce_loss, mean_distortion_loss, mlr_logits,
-                         total_loss)
-from hbct.manifold import ManifoldConfig, expm_origin
+                         hexpm_origin, infonce_loss, mean_distortion_loss,
+                         mlr_logits, total_loss)
+from hbct.manifold import ManifoldConfig, expm_origin, rescale_clip
 
 MCFG = ManifoldConfig(1.0, 3)
 
@@ -78,49 +79,51 @@ def oracle_infonce(new_pts, old_pts, tau, K=1.0):
 class TestMlrLogits:
     def test_orthogonal_hyperplane(self):
         h = expm_origin(np.array([0.7, 0.0, 0.0]), MCFG)
-        head = MlrHead([[0.0, 1.3, -0.2]])
+        head = [[0.0, 1.3, -0.2]]
         assert ad.value(mlr_logits(h, head, MCFG)[0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_sign_flip(self):
         rng = np.random.default_rng(0)
         h = rand_points(rng, 1)[0]
         w = rng.normal(size=3)
-        a = ad.value(mlr_logits(h, MlrHead([w]), MCFG)[0])
-        b = ad.value(mlr_logits(h, MlrHead([-w]), MCFG)[0])
+        a = ad.value(mlr_logits(h, [w], MCFG)[0])
+        b = ad.value(mlr_logits(h, [-w], MCFG)[0])
         assert a == pytest.approx(-b, abs=1e-12)
 
     def test_softmax_normalization(self):
         rng = np.random.default_rng(1)
         h = rand_points(rng, 1)[0]
-        head = MlrHead(rng.normal(size=(5, 3)))
-        logits = np.array([ad.value(v) for v in mlr_logits(h, head, MCFG)])
+        head = rng.normal(size=(5, 3))
+        logits = mlr_logits(h, head, MCFG)
         p = np.exp(logits - logits.max())
         assert p.sum() / p.sum() == 1.0
         assert (np.exp(logits) / np.exp(logits).sum()).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_degenerate_row(self):
         h = rand_points(np.random.default_rng(2), 1)[0]
-        head = MlrHead([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        head = [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]
         assert ad.value(mlr_logits(h, head, MCFG)[0]) == 0.0
 
     def test_against_oracle(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            h = rand_points(rng, 1)[0]
+            batch = rand_points(rng, 5)
             rows = rng.normal(size=(4, 3))
-            got = np.array([ad.value(v) for v in mlr_logits(h, MlrHead(rows), MCFG)])
-            assert np.max(np.abs(got - oracle_logits(rows, h))) <= 1e-10
+            got = mlr_logits(batch, rows, MCFG)
+            assert got.shape == (5, 4)
+            for h, row in zip(batch, got):
+                assert np.max(np.abs(row - oracle_logits(rows, h))) <= 1e-10
 
 
 class TestBaseLoss:
     def test_identical_rows_uniform(self):
         h = rand_points(np.random.default_rng(4), 1)[0]
-        head = MlrHead([[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]])
+        head = [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0]]
         assert ad.value(base_loss(h, 0, head, MCFG)) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_confident_limit(self):
         h = expm_origin(np.array([2.0, 0.0, 0.0]), MCFG)
-        head = MlrHead([[50.0, 0.0, 0.0], [-50.0, 0.0, 0.0]])
+        head = [[50.0, 0.0, 0.0], [-50.0, 0.0, 0.0]]
         assert ad.value(base_loss(h, 0, head, MCFG)) <= 1e-6
 
     def test_against_oracle(self):
@@ -129,14 +132,14 @@ class TestBaseLoss:
             h = rand_points(rng, 1)[0]
             rows = rng.normal(size=(4, 3))
             label = int(rng.integers(4))
-            got = ad.value(base_loss(h, label, MlrHead(rows), MCFG))
+            got = ad.value(base_loss(h, label, rows, MCFG))
             assert got == pytest.approx(oracle_base(rows, h, label), abs=1e-10)
             assert got >= 0.0
 
     def test_bad_label(self):
         h = rand_points(np.random.default_rng(6), 1)[0]
         with pytest.raises(InvalidArgumentError):
-            base_loss(h, 7, MlrHead([[1.0, 0.0, 0.0]]), MCFG)
+            base_loss(h, 7, [[1.0, 0.0, 0.0]], MCFG)
 
 
 class TestAperture:
@@ -193,6 +196,20 @@ class TestExteriorAngle:
             vb = ad.value(exterior_angle(b, a, cfg, MCFG))
             hits += abs(va - vb) > 1e-9
         assert hits == 10
+
+    def test_constant_branches_never_reach_acos(self):
+        # points inside the light cone hit the c^2 - 1 clamp and push the acos
+        # argument far outside [-1, 1]; those lanes take the 0 / pi constants
+        cfg = AlignmentConfig()
+        h_o = expm_origin(np.array([0.3, 0.0, 0.0]), MCFG)
+        tape = Tape()
+        spaces = tape.var([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.5, 0.9, 0.2]])
+        h_n = (np.array([0.5, 0.5, 2.0]), spaces)
+        ext = exterior_angle(h_o, h_n, cfg, MCFG)
+        assert ext.val[0] == 0.0 and ext.val[1] == math.pi
+        g = ad.grad(ad.sum(ext), [spaces])[0]
+        assert np.all(np.isfinite(g))
+        assert np.all(g[:2] == 0.0) and np.any(g[2] != 0.0)
 
     def test_origin_raises(self):
         cfg = AlignmentConfig()
@@ -295,12 +312,11 @@ class TestContrastiveLoss:
         for q in (0.01, 0.1, 0.5, 1.0):
             cfg = AlignmentConfig(q_mode="fixed", q_fixed=q, tau=0.5, beta=0.01)
             tape = Tape()
-            leaves = [tape.var(v) for v in z_new]
-            from hbct.losses import hexpm_origin
-            new = [hexpm_origin(leaves, MCFG),
-                   (float(old[1][0].time) if isinstance(old[1], tuple) else old[1])]
-            loss = contrastive_loss(new, old, None, cfg, MCFG)
-            norms.append(float(np.linalg.norm(ad.grad(loss, leaves))))
+            # the second new point sits on its old partner; only the first
+            # point's gradient is measured
+            leaf = tape.var([z_new, z_other])
+            loss = contrastive_loss(hexpm_origin(leaf, MCFG), old, None, cfg, MCFG)
+            norms.append(float(np.linalg.norm(ad.grad(loss, [leaf])[0][0])))
         assert all(a > b for a, b in zip(norms, norms[1:]))
 
 
@@ -369,7 +385,7 @@ class TestTotalLoss:
         old = rand_points(rng, n)
         unc = list(rng.uniform(0.1, 0.9, size=n))
         labels = [int(v) for v in rng.integers(0, 3, size=n)]
-        head = MlrHead(rng.normal(size=(3, 3)))
+        head = rng.normal(size=(3, 3))
         return new, old, unc, labels, head
 
     def test_lambda_zero_bit_equals_base(self):
@@ -413,3 +429,104 @@ class TestConfigValidation:
                        dict(distance_kind="nope"), dict(contrast_kind="nope")):
             with pytest.raises(InvalidArgumentError):
                 AlignmentConfig(**kwargs)
+
+
+class TestLaneIsolation:
+    """One batch whose rows take different branches: each row's loss terms and
+    gradient equal that row computed alone, and every gradient is finite."""
+
+    ZETA = 1.0
+    EPS = AlignmentConfig(lambda_align=0.3).epsilon_aperture
+
+    def _pipeline(self, z):
+        return hexpm_origin(rescale_clip(z, self.ZETA, MCFG), MCFG)
+
+    def _find_scale(self, w, sign, want):
+        # a radial (sign +1) or antipodal (sign -1) new point whose exterior
+        # angle lands exactly on the constant branch `want`
+        for s in np.linspace(1.5, 3.0, 301):
+            z = sign * s * math.sqrt(MCFG.dim_d) * w
+            if exterior_angle(hexpm_origin(w, MCFG), self._pipeline(z),
+                              AlignmentConfig(), MCFG) == want:
+                return z
+        raise AssertionError(f"no scale hits the constant branch {want}")
+
+    def _batch(self):
+        rng = np.random.default_rng(30)
+        sqrt_d = math.sqrt(MCFG.dim_d)
+        u = np.array([0.6, 0.0, 0.8])
+        w = 0.3 * u
+        z_same = np.array([0.4, -0.3, 0.5])
+        old_z = np.array([
+            [0.9, 0.5, -0.2],       # 0: aperture open
+            [0.05, -0.06, 0.02],    # 1: aperture saturated
+            w,                      # 2: exterior angle on the +1 branch
+            w,                      # 3: exterior angle on the -1 branch
+            [-0.7, 0.2, 0.6],       # 4: new point at the origin
+            z_same / sqrt_d,        # 5: new point equals the old point
+        ])
+        new_z = np.array([
+            5.0 * sqrt_d * np.array([0.3, 0.9, -0.3]),   # clip active
+            [0.2, 0.4, -0.1],                            # clip inactive
+            self._find_scale(w, 1.0, 0.0),
+            self._find_scale(w, -1.0, math.pi),
+            np.zeros(3),                                 # series branch
+            z_same,
+        ])
+        old_t, old_s = hexpm_origin(old_z, MCFG)
+        unc = rng.uniform(0.1, 0.9, size=len(old_z))
+        labels = np.array([0, 1, 2, 1, 0, 2])
+        head = rng.normal(size=(3, 3))
+        head[1] = 0.0                                    # degenerate class row
+        return new_z, (old_t, old_s), unc, labels, head
+
+    def _terms(self, z_leaf, head_leaf, old, labels, cfg):
+        new = self._pipeline(z_leaf)
+        return (base_loss(new, labels, head_leaf, MCFG),
+                entailment_loss(new, old, cfg, MCFG))
+
+    def test_branches_hit(self):
+        new_z, old, _, _, head = self._batch()
+        cfg = AlignmentConfig()
+        new = self._pipeline(new_z)
+        norms = np.linalg.norm(new_z / math.sqrt(MCFG.dim_d), axis=1)
+        assert norms[0] > self.ZETA and norms[1] < self.ZETA
+        assert np.array_equal(ad.value(aperture(old, cfg, MCFG))[:2] == math.pi / 2.0,
+                              [False, True])
+        ext = exterior_angle(old, new, cfg, MCFG)
+        assert ext[2] == 0.0 and ext[3] == math.pi
+        assert np.all(new[1][4] == 0.0)
+        assert mean_distortion_loss(((new[0][5:], new[1][5:])),
+                                    (old[0][5:], old[1][5:]), cfg, MCFG) == 0.0
+        assert mlr_logits(new, head, MCFG)[:, 1].tolist() == [0.0] * 6
+
+    def test_rows_equal_rows_alone(self):
+        new_z, old, unc, labels, head = self._batch()
+        cfg = AlignmentConfig()
+        tape = Tape()
+        z_leaf, h_leaf = tape.var(new_z), tape.var(head)
+        base, entail = self._terms(z_leaf, h_leaf, old, labels, cfg)
+        for term in (base, entail):
+            g_z, g_h = ad.grad(ad.sum(term), [z_leaf, h_leaf])
+            assert np.all(np.isfinite(g_z)) and np.all(np.isfinite(g_h))
+            alone_h = np.zeros_like(head)
+            for i in range(len(new_z)):
+                t = Tape()
+                zi, hi = t.var(new_z[i:i + 1]), t.var(head)
+                row = self._terms(zi, hi, (old[0][i:i + 1], old[1][i:i + 1]),
+                                  labels[i:i + 1], cfg)[0 if term is base else 1]
+                gi_z, gi_h = ad.grad(ad.sum(row), [zi, hi])
+                assert row.val[0] == pytest.approx(term.val[i], rel=1e-12, abs=1e-15)
+                assert np.allclose(gi_z[0], g_z[i], rtol=1e-12, atol=1e-15)
+                alone_h += gi_h
+            assert np.allclose(alone_h, g_h, rtol=1e-12, atol=1e-15)
+
+    def test_total_loss_gradient_finite(self):
+        new_z, old, unc, labels, head = self._batch()
+        for kind in ("rince", "infonce", "mean_distortion"):
+            cfg = AlignmentConfig(contrast_kind=kind)
+            tape = Tape()
+            z_leaf, h_leaf = tape.var(new_z), tape.var(head)
+            loss = total_loss(self._pipeline(z_leaf), labels, old, unc, h_leaf, cfg, MCFG)
+            for g in ad.grad(loss, [z_leaf, h_leaf]):
+                assert np.all(np.isfinite(g))

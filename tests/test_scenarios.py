@@ -331,6 +331,18 @@ class TestCli:
         cfg_path = self._write_cfg(tmp_path)
         assert main(["sweep", "--config", cfg_path, "--lambdas", "0.1,x"]) == 2
 
+    def test_evaluate_curvature_mismatch_exits_2(self, tmp_path):
+        rng = np.random.default_rng(0)
+        stores = []
+        for K in (1.0, 2.0):
+            store = str(tmp_path / f"k{K}.emb")
+            spaces = rng.normal(size=(3, 2))
+            times = np.sqrt(1.0 / K + (spaces ** 2).sum(axis=1))
+            save_embedding_set(store, EmbeddingSet.from_lorentz(times, spaces, [0, 1, 0], K))
+            stores.append(store)
+        assert main(["evaluate", "--queries", stores[0], "--gallery", stores[0]]) == 0
+        assert main(["evaluate", "--queries", stores[1], "--gallery", stores[0]]) == 2
+
     def test_train_new_checks_old_geometry(self, tmp_path):
         cfg_path = self._write_cfg(tmp_path)
         data = str(tmp_path / "data.npz")
