@@ -153,6 +153,11 @@ def _train(X, y, num_classes, arch, mcfg, policy, tcfg, generation,
         raise InvalidArgumentError("dataset must be a non-empty 2-d array")
     if len(X) != len(y):
         raise InvalidArgumentError("inputs and labels must align")
+    if old_model is not None and \
+            (old_model.input_dim, old_model.output_dim) != (X.shape[1], mcfg.dim_d):
+        raise InvalidArgumentError(
+            f"old model maps {old_model.input_dim} -> {old_model.output_dim} dims; the "
+            f"dataset and manifold.dim_d give {X.shape[1]} -> {mcfg.dim_d}")
     rng = np.random.default_rng(tcfg.seed)
 
     if init_from_old:

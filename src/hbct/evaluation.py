@@ -2,10 +2,11 @@
 and sequential-update compatibility matrices.
 
 Lorentz embedding sets are ranked by geodesic distance, Euclidean sets by
-cosine distance; mixing geometries, or Lorentz curvatures, between query and
-gallery is an error, and so is a non-finite embedding.
+cosine distance; mixing geometries, Lorentz curvatures or row widths between
+query and gallery is an error, and so is a non-finite embedding or an empty set.
 Galleries are scanned exactly (no ANN index); ties break toward the lower
-gallery index so rankings are deterministic.
+gallery index so rankings are deterministic.  CMC@k and mAP are read off each
+query's ranks of its same-label gallery items.
 """
 
 from __future__ import annotations
@@ -47,8 +48,15 @@ class EmbeddingSet:
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.geometry not in _GEOMETRIES:
             raise InvalidArgumentError(f"unknown geometry {self.geometry!r}")
-        if len(self.points) != len(self.labels):
-            raise InvalidArgumentError("points and labels must have equal length")
+        if self.points.ndim != 2 or len(self.points) != len(self.labels):
+            raise InvalidArgumentError("points must be a 2-d array, one row per label")
+        if self.geometry == "lorentz":
+            if not 0.0 < self.curvature_K < math.inf:
+                raise InvalidArgumentError(f"Lorentz curvature_K must be finite and "
+                                           f"> 0, got {self.curvature_K}")
+            if self.points.shape[1] < 2:
+                raise InvalidArgumentError("Lorentz rows need a time and a space "
+                                           "coordinate")
         if not np.isfinite(self.points).all():
             raise InvalidArgumentError("embedding points must be finite")
 
@@ -90,12 +98,16 @@ def _distances_to_gallery(q: np.ndarray, gallery: EmbeddingSet) -> np.ndarray:
     return 1.0 - (gallery.points @ q) / denom
 
 
+def _rank(q: np.ndarray, gallery: EmbeddingSet) -> np.ndarray:
+    """Gallery indices by ascending distance to q, ties by ascending index."""
+    return np.argsort(_distances_to_gallery(q, gallery), kind="stable")
+
+
 def retrieve(query, gallery: EmbeddingSet) -> np.ndarray:
     """Gallery indices sorted by ascending distance, ties by ascending index."""
     if len(gallery) == 0:
         raise InvalidArgumentError("empty gallery")
-    d = _distances_to_gallery(_query_ambient(query, gallery), gallery)
-    return np.argsort(d, kind="stable")
+    return _rank(_query_ambient(query, gallery), gallery)
 
 
 def _check_pairing(queries: EmbeddingSet, gallery: EmbeddingSet):
@@ -106,48 +118,44 @@ def _check_pairing(queries: EmbeddingSet, gallery: EmbeddingSet):
         raise InvalidArgumentError(
             f"curvature mismatch: queries K={queries.curvature_K}, "
             f"gallery K={gallery.curvature_K}")
+    if queries.points.shape[1] != gallery.points.shape[1]:
+        raise InvalidArgumentError(
+            f"width mismatch: query rows have {queries.points.shape[1]} coordinates, "
+            f"gallery rows {gallery.points.shape[1]}")
+    if len(queries) == 0:
+        raise InvalidArgumentError("empty query set")
     if len(gallery) == 0:
         raise InvalidArgumentError("empty gallery")
 
 
-def _ranked_matches(queries: EmbeddingSet, gallery: EmbeddingSet):
-    """Yield (query index, boolean match vector in rank order)."""
+def _relevant_ranks(queries: EmbeddingSet, gallery: EmbeddingSet):
+    """Yield each query's 0-based ranks of its same-label gallery items; when
+    ``queries is gallery`` the query's own row is dropped before ranking."""
     _check_pairing(queries, gallery)
     self_mode = queries is gallery
-    for qi in range(len(queries)):
-        d = _distances_to_gallery(queries.points[qi], gallery)
-        order = np.argsort(d, kind="stable")
+    for qi, (q, label) in enumerate(zip(queries.points, queries.labels)):
+        order = _rank(q, gallery)
         if self_mode:
             order = order[order != qi]
-        yield qi, gallery.labels[order] == queries.labels[qi]
+        yield np.flatnonzero(gallery.labels[order] == label)
 
 
 def cmc_at_k(queries: EmbeddingSet, gallery: EmbeddingSet, k: int) -> float:
     """Fraction of queries with a same-label gallery item in the top k."""
     if k < 1:
         raise InvalidArgumentError(f"k must be >= 1, got {k}")
-    hits = 0
-    total = 0
-    for _, matches in _ranked_matches(queries, gallery):
-        hits += bool(matches[:k].any())
-        total += 1
-    return hits / total
+    hits = sum(1 for ranks in _relevant_ranks(queries, gallery)
+               if len(ranks) and ranks[0] < k)
+    return hits / len(queries)
 
 
 def mean_average_precision(queries: EmbeddingSet, gallery: EmbeddingSet) -> float:
     """mAP over queries; AP per query averages precision at each relevant rank."""
-    aps = []
-    skipped = 0
-    for _, matches in _ranked_matches(queries, gallery):
-        n_rel = int(matches.sum())
-        if n_rel == 0:
-            skipped += 1
-            continue
-        cum = np.cumsum(matches)
-        precision_at = cum / np.arange(1, len(matches) + 1)
-        aps.append(float(precision_at[matches].sum() / n_rel))
+    aps = [float(np.mean(np.arange(1, len(ranks) + 1) / (ranks + 1)))
+           for ranks in _relevant_ranks(queries, gallery) if len(ranks)]
     if not aps:
         raise InvalidArgumentError("no query has a relevant gallery item")
+    skipped = len(queries) - len(aps)
     if skipped:
         warnings.warn(f"{skipped} queries had no relevant gallery item and were skipped")
     return float(np.mean(aps))
@@ -198,13 +206,21 @@ class CompatReport:
         ]
 
 
+def parse_metric(metric: str):
+    """k for 'cmc@<k>' (k >= 1), None for 'map'; any other name is an error."""
+    if metric == "map":
+        return None
+    if metric.startswith("cmc@") and metric[4:].isdecimal() and int(metric[4:]) >= 1:
+        return int(metric[4:])
+    raise InvalidArgumentError(f"unknown metric {metric!r}")
+
+
 def evaluate_metric(queries: EmbeddingSet, gallery: EmbeddingSet, metric: str) -> float:
     """metric is 'cmc@<k>' or 'map'."""
-    if metric.startswith("cmc@") and metric[4:].isdecimal():
-        return cmc_at_k(queries, gallery, int(metric[4:]))
-    if metric == "map":
+    k = parse_metric(metric)
+    if k is None:
         return mean_average_precision(queries, gallery)
-    raise InvalidArgumentError(f"unknown metric {metric!r}")
+    return cmc_at_k(queries, gallery, k)
 
 
 def compatibility_matrix(embeddings, star_embeddings, metric: str) -> np.ndarray:
@@ -268,11 +284,13 @@ def load_embedding_set(path) -> EmbeddingSet:
         raise InvalidArgumentError(f"unsupported store version {version}")
     if geom >= len(_GEOMETRIES):
         raise InvalidArgumentError(f"unknown store geometry index {geom}")
-    dtype = _record_dtype(width)
-    expected = _STORE_HEADER.size + count * dtype.itemsize
+    record_size = 8 * width + 4  # the packed record, in Python ints: no overflow
+    expected = _STORE_HEADER.size + count * record_size
     if len(data) != expected:
         raise InvalidArgumentError(f"store is {len(data)} bytes, its header implies "
                                    f"{expected}")
-    records = np.frombuffer(data, dtype, count, _STORE_HEADER.size)
+    if record_size > _INT32.max:
+        raise InvalidArgumentError(f"store row width {width} is too large")
+    records = np.frombuffer(data, _record_dtype(width), count, _STORE_HEADER.size)
     return EmbeddingSet(np.ascontiguousarray(records["x"]), records["y"],
                         _GEOMETRIES[geom], K, generation)

@@ -22,7 +22,7 @@ from .encoder import (ClipPolicy, EncoderModel, TrainConfig, embed_batch,
                       save_checkpoint, train_new, train_old)
 from .errors import InvalidArgumentError
 from .evaluation import (CompatReport, EmbeddingSet, compatibility_matrix,
-                         evaluate_metric, save_embedding_set)
+                         evaluate_metric, parse_metric, save_embedding_set)
 from .losses import AlignmentConfig
 from .manifold import ManifoldConfig
 
@@ -197,6 +197,8 @@ def run_variants(cfg: ExperimentConfig, seed: int, variants,
     ``variants`` maps a name to an AlignmentConfig; the returned dict maps each
     name to a ScenarioResult sharing the same old model and star anchor.
     """
+    for metric in metrics:
+        parse_metric(metric)  # a bad name fails before any training
     mcfg, policy = cfg.manifold, cfg.clip
     ds = generate_dataset(replace(cfg.dataset, seed=cfg.dataset.seed + seed))
     old_ds, new_ds, old_arch, new_arch = scenario_slices(ds, cfg.scenario, seed)
@@ -312,6 +314,7 @@ def _chain_pairs(chain, ds: Dataset, cfg: ExperimentConfig):
 
 def sequential_matrix(cfg: ExperimentConfig, seed: int, aligned: bool = True,
                       metric: str = "cmc@1") -> np.ndarray:
+    parse_metric(metric)
     models, stars, ds = run_sequential_single(cfg, seed, aligned=aligned)
     star_pairs = _chain_pairs(stars, ds, cfg)
     pairs = _chain_pairs(models, ds, cfg) if aligned else star_pairs
@@ -371,6 +374,7 @@ def run_matrix(cfg: ExperimentConfig, metric="cmc@1"):
     only for its generation tag, so the unaligned chain is exactly the aligned
     chain's star models.
     """
+    parse_metric(metric)
     out_all = {}
     for seed in cfg.seeds:
         models, stars, ds = run_sequential_single(cfg, seed, aligned=True)

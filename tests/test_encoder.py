@@ -158,6 +158,17 @@ class TestTrainNew:
         assert np.array_equal(runs[0][1], runs[1][1])
         assert runs[0][2] == runs[1][2]
 
+    @pytest.mark.parametrize("align", [AlignmentConfig(), AlignmentConfig(lambda_align=0.0)])
+    def test_old_model_dims_checked(self, align):
+        X, y = self._data(4)
+        tcfg = TrainConfig(epochs=1, batch_size=16, seed=0)
+        old, _, _ = train_old(X, y, 2, MCFG, POLICY, tcfg, arch=())
+        wide = np.column_stack([X, X[:, :1]])
+        with pytest.raises(InvalidArgumentError, match="old model maps 2 -> 4"):
+            train_new(wide, y, 2, old, align, MCFG, POLICY, tcfg, arch=())
+        with pytest.raises(InvalidArgumentError, match="old model maps 2 -> 4"):
+            train_new(X, y, 2, old, align, ManifoldConfig(1.0, 3), POLICY, tcfg, arch=())
+
 
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):

@@ -157,6 +157,74 @@ class TestFailsClosed:
         e2 = EmbeddingSet(rng.normal(size=(4, 3)), [0, 1, 0, 1], "euclidean", 2.0)
         assert 0.0 <= cmc_at_k(e1, e2, 1) <= 1.0
 
+    def test_width_mismatch_rejected(self):
+        rng = np.random.default_rng(44)
+        q = lorentz_set(rng, 4)  # 3-d: rows of width 4
+        spaces = rng.normal(size=(5, 5))
+        g = EmbeddingSet.from_lorentz(np.sqrt(1.0 + (spaces ** 2).sum(axis=1)), spaces,
+                                      [0, 1, 2, 0, 1])
+        for metric in ("cmc@1", "map"):
+            with pytest.raises(InvalidArgumentError, match="width"):
+                evaluate_metric(q, g, metric)
+
+    def test_empty_query_set_rejected(self):
+        g = lorentz_set(np.random.default_rng(45), 5)
+        q = EmbeddingSet(np.empty((0, 4)), np.empty(0, dtype=int))
+        for metric in ("cmc@1", "map"):
+            with pytest.raises(InvalidArgumentError, match="empty query"):
+                evaluate_metric(q, g, metric)
+
+    @pytest.mark.parametrize("K", [-1.0, 0.0, math.inf, math.nan])
+    def test_bad_lorentz_curvature_rejected(self, K):
+        pts = lorentz_set(np.random.default_rng(46), 3).points
+        with pytest.raises(InvalidArgumentError, match="curvature"):
+            EmbeddingSet(pts, [0, 1, 0], "lorentz", K)
+        # a Euclidean set carries K but never ranks with it
+        EmbeddingSet(pts, [0, 1, 0], "euclidean", K)
+
+    @pytest.mark.parametrize("width", [0, 1])
+    def test_narrow_lorentz_rows_rejected(self, width):
+        with pytest.raises(InvalidArgumentError):
+            EmbeddingSet(np.ones((3, width)), [0, 1, 0], "lorentz")
+
+    def test_one_dimensional_points_rejected(self):
+        with pytest.raises(InvalidArgumentError):
+            EmbeddingSet(np.ones(3), [0, 1, 0], "euclidean")
+
+    @pytest.mark.parametrize("count,width", [(0, 2**28), (1, 2**28), (0, 2**32 - 1)])
+    def test_huge_store_width_rejected(self, tmp_path, count, width):
+        path = tmp_path / "wide.emb"
+        path.write_bytes(struct.pack("<4sIIIIdi", b"HBCT", 1, 0, count, width, 1.0, 0))
+        with pytest.raises(InvalidArgumentError):
+            load_embedding_set(path)
+
+
+class TestRankSemantics:
+    """CMC@k and mAP read each query's relevant ranks off one stable ranking."""
+
+    def test_ties_rank_lower_index_first(self):
+        # two points repeated in shuffled order: within each group of equal
+        # distances the lower gallery index ranks first (300 rows, so that an
+        # unstable sort would reorder the groups)
+        rng = np.random.default_rng(47)
+        near, far = lorentz_set(rng, 2).points
+        is_far = rng.random(300) < 0.5
+        g = EmbeddingSet(np.where(is_far[:, None], far, near), rng.integers(0, 3, 300))
+        q = EmbeddingSet(near[None], [0])
+        order = np.concatenate([np.flatnonzero(~is_far), np.flatnonzero(is_far)])
+        assert list(retrieve(near, g)) == list(order) == brute_rank(near, g)
+        first = np.flatnonzero(g.labels[order] == 0)[0]
+        assert cmc_at_k(q, g, first) == 0.0 and cmc_at_k(q, g, first + 1) == 1.0
+        assert mean_average_precision(q, g) == pytest.approx(brute_map(q, g), abs=1e-12)
+
+    def test_self_mode_drops_own_row_only(self):
+        # a copy of the same set is cross mode: each query finds itself first
+        g = lorentz_set(np.random.default_rng(48), 6, labels=[0, 1, 2, 3, 4, 5])
+        twin = EmbeddingSet(g.points, g.labels)
+        assert cmc_at_k(twin, g, 1) == 1.0
+        with pytest.raises(InvalidArgumentError):
+            mean_average_precision(g, g)
+
 
 class TestCmc:
     def test_two_per_class_fixture(self):

@@ -3,6 +3,7 @@ config round-trip, and the CLI exit-code contract."""
 
 import math
 import os
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from hbct import config as cfgmod
 from hbct.cli import main
-from hbct.encoder import ClipPolicy, TrainConfig
+from hbct.encoder import ClipPolicy, TrainConfig, train_old
 from hbct.errors import DegenerateBaselineError, InvalidArgumentError
 from hbct.evaluation import (EmbeddingSet, cmc_at_k, load_embedding_set,
                              save_embedding_set)
@@ -342,6 +343,59 @@ class TestCli:
             stores.append(store)
         assert main(["evaluate", "--queries", stores[0], "--gallery", stores[0]]) == 0
         assert main(["evaluate", "--queries", stores[1], "--gallery", stores[0]]) == 2
+
+    def test_evaluate_unrankable_inputs_exit_2(self, tmp_path):
+        rng = np.random.default_rng(1)
+
+        def store(name, count, width, K=1.0):
+            # raw bytes, so that sets EmbeddingSet refuses can still be written
+            path = tmp_path / name
+            spaces = rng.normal(size=(count, max(width - 1, 0)))
+            rows = np.column_stack([np.sqrt(1.0 + (spaces ** 2).sum(axis=1)), spaces])
+            body = b"".join(struct.pack(f"<{width}di", *row[:width], i % 2)
+                            for i, row in enumerate(rows))
+            path.write_bytes(struct.pack("<4sIIIIdi", b"HBCT", 1, 1, count, width, K, 0)
+                             + body)
+            return str(path)
+
+        good = store("d3.emb", 4, 4)
+        assert main(["evaluate", "--queries", good, "--gallery", good]) == 0
+        for queries, gallery in [(good, store("d5.emb", 4, 6)),    # 3-d vs 5-d
+                                 (store("empty.emb", 0, 4), good),  # no queries
+                                 (store("k-1.emb", 4, 4, K=-1.0),) * 2,
+                                 (store("k0.emb", 4, 4, K=0.0),) * 2,
+                                 (store("kinf.emb", 4, 4, K=math.inf),) * 2,
+                                 (store("w1.emb", 4, 1),) * 2,
+                                 (store("wide.emb", 0, 2**28),) * 2]:
+            for metric in ("cmc@1", "map"):
+                assert main(["evaluate", "--queries", queries, "--gallery", gallery,
+                             "--metric", metric]) == 2
+
+    def test_bad_metric_trains_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HBCT_OUTPUT_ROOT", str(tmp_path))
+        calls = []
+        monkeypatch.setattr("hbct.scenarios.train_old",
+                            lambda *a, **k: calls.append(1) or train_old(*a, **k))
+        cfg_path = self._write_cfg(tmp_path)
+        for argv in (["matrix", "--metric", "cmc@x"], ["matrix", "--metric", "cmc@0"],
+                     ["sweep", "--metric", "mAP"], ["sweep", "--metric", "cmc@"]):
+            assert main(argv + ["--config", cfg_path]) == 2
+        assert calls == []
+
+    @pytest.mark.parametrize("override", [
+        dict(dataset=SyntheticDatasetSpec(num_classes=6, samples_per_class=15, input_dim=4)),
+        dict(manifold=ManifoldConfig(1.0, 3))])
+    def test_train_new_checks_old_dims(self, tmp_path, override):
+        data, old = str(tmp_path / "data.npz"), str(tmp_path / "old.ckpt")
+        first = self._write_cfg(tmp_path)
+        assert main(["generate", "--config", first, "--out", data]) == 0
+        assert main(["train-old", "--config", first, "--data", data, "--out", old]) == 0
+        other = str(tmp_path / "other.cfg")
+        cfgmod.save(other, tiny_cfg(**override))
+        assert main(["generate", "--config", other, "--out", data]) == 0
+        assert main(["train-new", "--config", other, "--data", data,
+                     "--old", old, "--out", str(tmp_path / "new.ckpt")]) == 2
+        assert not (tmp_path / "new.ckpt").exists()
 
     def test_train_new_checks_old_geometry(self, tmp_path):
         cfg_path = self._write_cfg(tmp_path)
