@@ -8,6 +8,7 @@ The output root is the current directory unless HBCT_OUTPUT_ROOT is set.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -111,7 +112,9 @@ def _cmd_train_new(args):
 
 def _cmd_evaluate(args):
     q = load_embedding_set(args.queries)
-    g = load_embedding_set(args.gallery)
+    # one file named twice is one set, so that self mode drops each query's own row
+    same = os.path.samefile(args.queries, args.gallery)
+    g = q if same else load_embedding_set(args.gallery)
     print(f"{args.metric} = {evaluate_metric(q, g, args.metric):.6f}")
 
 

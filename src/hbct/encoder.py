@@ -55,10 +55,12 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs <= 0 or self.batch_size <= 0:
             raise InvalidArgumentError("epochs and batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise InvalidArgumentError("learning_rate must be positive")
-        if self.momentum < 0 or self.weight_decay < 0:
-            raise InvalidArgumentError("momentum/weight_decay must be >= 0")
+        if not 0.0 < self.learning_rate < math.inf:
+            raise InvalidArgumentError("learning_rate must be finite and positive")
+        if not all(0.0 <= v < math.inf for v in (self.momentum, self.weight_decay)):
+            raise InvalidArgumentError("momentum/weight_decay must be finite and >= 0")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"train seed must be >= 0, got {self.seed}")
 
 
 class EncoderModel:

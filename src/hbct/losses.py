@@ -50,8 +50,8 @@ class AlignmentConfig:
     contrast_kind: str = "rince"
 
     def __post_init__(self):
-        if self.lambda_align < 0 or self.lambda_entail < 0:
-            raise InvalidArgumentError("alignment weights must be >= 0")
+        if not all(0.0 <= w < math.inf for w in (self.lambda_align, self.lambda_entail)):
+            raise InvalidArgumentError("alignment weights must be finite and >= 0")
         if not (self.tau > 0):
             raise InvalidArgumentError(f"tau must be > 0, got {self.tau}")
         if not (0 < self.beta <= 1):

@@ -41,8 +41,9 @@ class ManifoldConfig:
     dim_d: int = 2
 
     def __post_init__(self):
-        if not (self.curvature_K > 0):
-            raise InvalidArgumentError(f"curvature_K must be > 0, got {self.curvature_K}")
+        if not 0.0 < self.curvature_K < math.inf:
+            raise InvalidArgumentError(
+                f"curvature_K must be finite and > 0, got {self.curvature_K}")
         if self.dim_d < 1:
             raise InvalidArgumentError(f"dim_d must be >= 1, got {self.dim_d}")
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import os
-import warnings
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +44,12 @@ class SyntheticDatasetSpec:
     def __post_init__(self):
         if self.num_classes < 1 or self.samples_per_class < 1 or self.input_dim < 1:
             raise InvalidArgumentError("counts must be positive")
-        if not (self.cluster_spread > 0):
-            raise InvalidArgumentError("cluster_spread must be > 0")
+        if not 0.0 < self.cluster_spread < math.inf:
+            raise InvalidArgumentError("cluster_spread must be finite and > 0")
+        if not math.isfinite(self.class_center_scale):
+            raise InvalidArgumentError("class_center_scale must be finite")
+        if self.seed < 0:
+            raise InvalidArgumentError(f"dataset seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -64,6 +68,8 @@ class ScenarioSpec:
             raise InvalidArgumentError("fractions must be in (0, 1]")
         if self.kind == "sequential" and self.n_steps < 2:
             raise InvalidArgumentError("sequential scenarios need n_steps >= 2")
+        if any(w < 1 for w in (*self.old_arch, *self.new_arch)):
+            raise InvalidArgumentError("hidden layer widths must be >= 1")
 
 
 @dataclass
@@ -76,6 +82,11 @@ class ExperimentConfig:
     scenario: ScenarioSpec = field(default_factory=ScenarioSpec)
     output_dir: str = "runs"
     seeds: tuple = (0, 1, 2, 3, 4)
+
+    def __post_init__(self):
+        if not self.seeds or any(s < 0 for s in self.seeds):
+            raise InvalidArgumentError(f"seeds must be one or more integers >= 0, "
+                                       f"got {self.seeds!r}")
 
 
 @dataclass
@@ -156,6 +167,38 @@ def _embedding_set(model, head, X, y, policy, mcfg):
     return es, unc
 
 
+class _Generation(NamedTuple):
+    """One trained model with its query and gallery embeddings."""
+
+    model: EncoderModel
+    head: np.ndarray
+    queries: EmbeddingSet
+    gallery: EmbeddingSet
+    gallery_unc: np.ndarray
+
+
+def _seeded(cfg: ExperimentConfig, seed: int):
+    """The dataset and the training config of one seed."""
+    return (generate_dataset(replace(cfg.dataset, seed=cfg.dataset.seed + seed)),
+            replace(cfg.train, seed=cfg.train.seed + seed))
+
+
+def _fit(cfg, ds, train_ds, arch, tcfg, prev=None, align=None) -> _Generation:
+    """Train one generation on ``train_ds`` and embed ``ds``'s query and
+    gallery splits: an old model when ``prev`` is None, otherwise a new model
+    aligned to ``prev.model`` under ``align``."""
+    mcfg, policy = cfg.manifold, cfg.clip
+    data = (train_ds.train_X, train_ds.train_y, ds.num_classes)
+    if prev is None:
+        model, head, _ = train_old(*data, mcfg, policy, tcfg, arch=arch)
+    else:
+        model, head, _ = train_new(*data, prev.model, align, mcfg, policy, tcfg,
+                                   arch=arch)
+    queries, _ = _embedding_set(model, head, ds.query_X, ds.query_y, policy, mcfg)
+    gallery, unc = _embedding_set(model, head, ds.gallery_X, ds.gallery_y, policy, mcfg)
+    return _Generation(model, head, queries, gallery, unc)
+
+
 @dataclass
 class ScenarioResult:
     """Trained generations and their retrieval pairings for one seed."""
@@ -197,58 +240,37 @@ def run_variants(cfg: ExperimentConfig, seed: int, variants,
     ``variants`` maps a name to an AlignmentConfig; the returned dict maps each
     name to a ScenarioResult sharing the same old model and star anchor.
     """
+    if not metrics:
+        raise InvalidArgumentError("no metrics to evaluate")
     for metric in metrics:
         parse_metric(metric)  # a bad name fails before any training
-    mcfg, policy = cfg.manifold, cfg.clip
-    ds = generate_dataset(replace(cfg.dataset, seed=cfg.dataset.seed + seed))
+    ds, tcfg = _seeded(cfg, seed)
     old_ds, new_ds, old_arch, new_arch = scenario_slices(ds, cfg.scenario, seed)
-    tcfg = replace(cfg.train, seed=cfg.train.seed + seed)
-    n_classes = ds.num_classes
-
-    old_model, old_head, _ = train_old(old_ds.train_X, old_ds.train_y, n_classes,
-                                       mcfg, policy, tcfg, arch=old_arch)
+    old = _fit(cfg, ds, old_ds, old_arch, tcfg)
     # the new generation gets its own initialization stream: without this the
     # unaligned baseline would inherit the old model's init and look spuriously
     # compatible on toy data
     new_tcfg = replace(tcfg, seed=tcfg.seed + 101)
-    star_cfg = replace(cfg.alignment, lambda_align=0.0)
-    star_model, star_head, _ = train_new(new_ds.train_X, new_ds.train_y, n_classes,
-                                         old_model, star_cfg, mcfg, policy, new_tcfg,
-                                         arch=new_arch)
-
-    old_q, _ = _embedding_set(old_model, old_head, ds.query_X, ds.query_y, policy, mcfg)
-    old_g, old_g_unc = _embedding_set(old_model, old_head, ds.gallery_X, ds.gallery_y,
-                                      policy, mcfg)
-    star_q, _ = _embedding_set(star_model, star_head, ds.query_X, ds.query_y,
-                               policy, mcfg)
-    star_g, _ = _embedding_set(star_model, star_head, ds.gallery_X, ds.gallery_y,
-                               policy, mcfg)
-    old_self = {m: evaluate_metric(old_q, old_g, m) for m in metrics}
-    star_self = {m: evaluate_metric(star_q, star_g, m) for m in metrics}
+    star = _fit(cfg, ds, new_ds, new_arch, new_tcfg, old,
+                replace(cfg.alignment, lambda_align=0.0))
+    old_self = {m: evaluate_metric(old.queries, old.gallery, m) for m in metrics}
+    star_self = {m: evaluate_metric(star.queries, star.gallery, m) for m in metrics}
 
     results = {}
     for name, align_cfg in variants.items():
-        new_model, new_head, _ = train_new(new_ds.train_X, new_ds.train_y, n_classes,
-                                           old_model, align_cfg, mcfg, policy,
-                                           new_tcfg, arch=new_arch)
-        new_q, _ = _embedding_set(new_model, new_head, ds.query_X, ds.query_y,
-                                  policy, mcfg)
-        new_g, new_g_unc = _embedding_set(new_model, new_head, ds.gallery_X,
-                                          ds.gallery_y, policy, mcfg)
-        reports = {}
-        for metric in metrics:
-            reports[metric] = CompatReport.compute(
-                metric,
-                self_value=evaluate_metric(new_q, new_g, metric),
-                cross_value=evaluate_metric(new_q, old_g, metric),
-                old_self_value=old_self[metric],
-                star_self_value=star_self[metric],
-            )
-        unc = {"old_gallery": old_g_unc, "new_gallery": new_g_unc,
+        new = _fit(cfg, ds, new_ds, new_arch, new_tcfg, old, align_cfg)
+        reports = {m: CompatReport.compute(
+            m,
+            self_value=evaluate_metric(new.queries, new.gallery, m),
+            cross_value=evaluate_metric(new.queries, old.gallery, m),
+            old_self_value=old_self[m],
+            star_self_value=star_self[m],
+        ) for m in metrics}
+        unc = {"old_gallery": old.gallery_unc, "new_gallery": new.gallery_unc,
                "gallery_labels": ds.gallery_y}
-        results[name] = ScenarioResult(old_model, old_head, star_model, star_head,
-                                       new_model, new_head, reports, unc,
-                                       {"old": old_g, "new": new_g})
+        results[name] = ScenarioResult(old.model, old.head, star.model, star.head,
+                                       new.model, new.head, reports, unc,
+                                       {"old": old.gallery, "new": new.gallery})
     return results
 
 
@@ -258,67 +280,40 @@ def run_single(cfg: ExperimentConfig, seed: int,
     return run_variants(cfg, seed, {"hbct": cfg.alignment}, metrics=metrics)["hbct"]
 
 
-def run_sequential_single(cfg: ExperimentConfig, seed: int, aligned: bool = True):
-    """Train a chain of generations; returns (models, star_models, dataset).
+def _chain(cfg: ExperimentConfig, seed: int, aligned: bool):
+    """A chain of generations and their star anchors, as two lists of records.
 
     Classes are split into n_steps cumulative groups.  When the scenario
     declares a new architecture it takes over from the midpoint of the chain.
-    The unaligned variant (aligned=False) chains lambda = 0 updates and serves
-    as the baseline for the compatibility matrix.
+    Every step trains a lambda = 0 star against the previous generation; the
+    aligned chain also trains the HBCT model from the second step on, and
+    otherwise the star is the generation itself.
     """
     spec = cfg.scenario
-    mcfg, policy = cfg.manifold, cfg.clip
-    ds = generate_dataset(replace(cfg.dataset, seed=cfg.dataset.seed + seed))
-    tcfg = replace(cfg.train, seed=cfg.train.seed + seed)
-    n_classes = ds.num_classes
-    steps = spec.n_steps
-    group = int(math.ceil(n_classes / steps))
+    ds, tcfg = _seeded(cfg, seed)
+    group = int(math.ceil(ds.num_classes / spec.n_steps))
     star_cfg = replace(cfg.alignment, lambda_align=0.0)
-
-    models, stars = [], []
-    prev = None
-    for step in range(steps):
-        step_ds = ds.restrict_classes(range(min(n_classes, group * (step + 1))))
-        arch = spec.old_arch if step < (steps + 1) // 2 else spec.new_arch
+    gens, stars = [], []
+    for step in range(spec.n_steps):
+        step_ds = ds.restrict_classes(range(min(ds.num_classes, group * (step + 1))))
+        arch = spec.old_arch if step < (spec.n_steps + 1) // 2 else spec.new_arch
         step_tcfg = replace(tcfg, seed=tcfg.seed + 101 * step)
-        if step == 0:
-            model, head, _ = train_old(step_ds.train_X, step_ds.train_y, n_classes,
-                                       mcfg, policy, step_tcfg, arch=arch)
-            star_model, star_head = model, head
-        else:
-            align = cfg.alignment if aligned else star_cfg
-            model, head, _ = train_new(step_ds.train_X, step_ds.train_y, n_classes,
-                                       prev, align, mcfg, policy, step_tcfg, arch=arch)
-            if aligned:
-                star_model, star_head, _ = train_new(step_ds.train_X, step_ds.train_y,
-                                                     n_classes, prev, star_cfg, mcfg,
-                                                     policy, step_tcfg, arch=arch)
-            else:
-                # the unaligned chain is its own star anchor
-                star_model, star_head = model, head
-        models.append((model, head))
-        stars.append((star_model, star_head))
-        prev = model
-    return models, stars, ds
+        prev = gens[-1] if gens else None
+        stars.append(_fit(cfg, ds, step_ds, arch, step_tcfg, prev, star_cfg))
+        gens.append(_fit(cfg, ds, step_ds, arch, step_tcfg, prev, cfg.alignment)
+                    if aligned and prev is not None else stars[-1])
+    return gens, stars
 
 
-def _chain_pairs(chain, ds: Dataset, cfg: ExperimentConfig):
-    """(query, gallery) embedding sets for each (model, head) of a chain."""
-    pairs = []
-    for m, h in chain:
-        q, _ = _embedding_set(m, h, ds.query_X, ds.query_y, cfg.clip, cfg.manifold)
-        g, _ = _embedding_set(m, h, ds.gallery_X, ds.gallery_y, cfg.clip, cfg.manifold)
-        pairs.append((q, g))
-    return pairs
+def _pairs(chain):
+    return [(g.queries, g.gallery) for g in chain]
 
 
 def sequential_matrix(cfg: ExperimentConfig, seed: int, aligned: bool = True,
                       metric: str = "cmc@1") -> np.ndarray:
     parse_metric(metric)
-    models, stars, ds = run_sequential_single(cfg, seed, aligned=aligned)
-    star_pairs = _chain_pairs(stars, ds, cfg)
-    pairs = _chain_pairs(models, ds, cfg) if aligned else star_pairs
-    return compatibility_matrix(pairs, star_pairs, metric)
+    gens, stars = _chain(cfg, seed, aligned)
+    return compatibility_matrix(_pairs(gens), _pairs(stars), metric)
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +372,9 @@ def run_matrix(cfg: ExperimentConfig, metric="cmc@1"):
     parse_metric(metric)
     out_all = {}
     for seed in cfg.seeds:
-        models, stars, ds = run_sequential_single(cfg, seed, aligned=True)
-        star_pairs = _chain_pairs(stars, ds, cfg)
-        m_hbct = compatibility_matrix(_chain_pairs(models, ds, cfg), star_pairs, metric)
+        gens, stars = _chain(cfg, seed, aligned=True)
+        star_pairs = _pairs(stars)
+        m_hbct = compatibility_matrix(_pairs(gens), star_pairs, metric)
         m_base = compatibility_matrix(star_pairs, star_pairs, metric)
         out = _run_dir(cfg, seed)
         os.makedirs(out, exist_ok=True)
@@ -409,27 +404,19 @@ def run_sweep(cfg: ExperimentConfig, lambdas, metric="cmc@1"):
 # ---------------------------------------------------------------------------
 # Plot / table emission (plain text and SVG)
 
-def write_matrix_table(path, matrix, tags=None):
-    matrix = np.asarray(matrix)
-    n = matrix.shape[0]
-    tags = tags or [f"g{i}" for i in range(n)]
+def write_matrix_table(path, matrix):
+    tags = [f"g{i}" for i in range(len(matrix))]
     lines = ["query\\gallery " + " ".join(f"{t:>8}" for t in tags)]
-    for i in range(n):
-        lines.append(f"{tags[i]:<13} " + " ".join(f"{matrix[i, j]:8.4f}"
-                                                  for j in range(n)))
+    for tag, row in zip(tags, np.asarray(matrix)):
+        lines.append(f"{tag:<13} " + " ".join(f"{v:8.4f}" for v in row))
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
-
-
-def _histogram(values, bins=20, lo=0.0, hi=1.0):
-    counts, edges = np.histogram(np.asarray(values), bins=bins, range=(lo, hi))
-    return counts, edges
 
 
 def write_histogram_text(path, named_series, bins=20):
     lines = []
     for name, values in named_series:
-        counts, edges = _histogram(values, bins=bins)
+        counts, edges = np.histogram(values, bins=bins, range=(0.0, 1.0))
         lines.append(f"# {name} (n={len(values)})")
         for c, lo, hi in zip(counts, edges[:-1], edges[1:]):
             bar = "#" * c
@@ -438,11 +425,13 @@ def write_histogram_text(path, named_series, bins=20):
         f.write("\n".join(lines) + "\n")
 
 
-def write_histogram_svg(path, named_series, bins=20, width=480, height=240):
+def write_histogram_svg(path, named_series):
+    bins, width, height = 20, 480, 240
     colors = ("#4477aa", "#ee6677", "#228833", "#ccbb44")
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}">']
-    series = [(name, *_histogram(v, bins=bins)) for name, v in named_series]
+    series = [(name, *np.histogram(v, bins=bins, range=(0.0, 1.0)))
+              for name, v in named_series]
     peak = max((c.max() for _, c, _ in series if len(c)), default=1) or 1
     bw = width / bins
     for si, (name, counts, _) in enumerate(series):
@@ -462,10 +451,6 @@ def write_histogram_svg(path, named_series, bins=20, width=480, height=240):
 
 def emit_plots(result, out_dir):
     """Uncertainty histograms (text + SVG) for one scenario result."""
-    if result is None or not result.reports:
-        warnings.warn("no reports to plot; nothing written")
-        return
-    os.makedirs(out_dir, exist_ok=True)
     series = [("old_gallery", result.uncertainties["old_gallery"]),
               ("new_gallery", result.uncertainties["new_gallery"])]
     write_histogram_text(os.path.join(out_dir, "uncertainty_hist.txt"), series)

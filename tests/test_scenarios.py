@@ -20,7 +20,7 @@ from hbct.manifold import ManifoldConfig
 from hbct.scenarios import (Dataset, ExperimentConfig, ScenarioSpec,
                             SyntheticDatasetSpec, generate_dataset,
                             load_dataset, run_matrix, run_scenario, run_single,
-                            run_sweep, save_dataset, scenario_slices,
+                            run_sweep, run_variants, save_dataset, scenario_slices,
                             sequential_matrix, write_histogram_text,
                             write_matrix_table)
 
@@ -210,6 +210,15 @@ class TestRunScenarioArtifacts:
         with pytest.raises(InvalidArgumentError):
             run_scenario(cfg)
 
+    def test_no_metrics_rejected_before_training(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HBCT_OUTPUT_ROOT", str(tmp_path))
+        calls = []
+        monkeypatch.setattr("hbct.scenarios.train_old",
+                            lambda *a, **k: calls.append(1) or train_old(*a, **k))
+        with pytest.raises(InvalidArgumentError):
+            run_scenario(tiny_cfg(), metrics=())
+        assert calls == [] and not (tmp_path / "runs").exists()
+
 
 class TestSequential:
     def _cfg(self):
@@ -243,6 +252,60 @@ class TestSequential:
         m_hbct, m_base = run_matrix(cfg, metric="map")[0]
         assert m_hbct.tobytes() == sequential_matrix(cfg, 0, True, "map").tobytes()
         assert m_base.tobytes() == sequential_matrix(cfg, 0, False, "map").tobytes()
+
+
+class TestGenerationCounts:
+    """Per seed, each experiment trains the expected number of models and
+    embeds the query and gallery splits of each trained model exactly once."""
+
+    CFG = tiny_cfg(scenario=ScenarioSpec(kind="sequential", n_steps=3),
+                   train=TrainConfig(epochs=1, batch_size=8, learning_rate=0.05))
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        import hbct.scenarios as sc
+        trained, embedded = [], []
+
+        def training(fn):
+            def run(*a, **k):
+                out = fn(*a, **k)
+                trained.append(out[0])
+                return out
+            return run
+
+        embed = sc.embed_batch
+
+        def embedding(model, *a, **k):
+            embedded.append(model)
+            return embed(model, *a, **k)
+
+        monkeypatch.setattr(sc, "train_old", training(sc.train_old))
+        monkeypatch.setattr(sc, "train_new", training(sc.train_new))
+        monkeypatch.setattr(sc, "embed_batch", embedding)
+
+        def check(n_trained):
+            assert len(trained) == n_trained
+            assert len(embedded) == 2 * n_trained
+            assert all(sum(e is m for e in embedded) == 2 for m in trained)
+        return check
+
+    def test_run_matrix(self, counted, tmp_path, monkeypatch):
+        monkeypatch.setenv("HBCT_OUTPUT_ROOT", str(tmp_path))
+        run_matrix(self.CFG, metric="map")
+        counted(5)
+
+    @pytest.mark.parametrize("aligned, n_trained", [(False, 3), (True, 5)])
+    def test_sequential_matrix(self, counted, aligned, n_trained):
+        sequential_matrix(self.CFG, 0, aligned=aligned, metric="map")
+        counted(n_trained)
+
+    @pytest.mark.parametrize("n_variants", [1, 3])
+    def test_run_variants(self, counted, n_variants):
+        cfg = replace(self.CFG, scenario=ScenarioSpec(kind="ext_class"))
+        variants = {lam: AlignmentConfig(lambda_align=lam)
+                    for lam in (0.1, 0.3, 1.0)[:n_variants]}
+        run_variants(cfg, 0, variants, metrics=("map",))
+        counted(2 + n_variants)
 
 
 class TestSweep:
@@ -316,7 +379,16 @@ class TestCli:
         assert main(["scenario", "--config", str(path)]) == 2
 
     @pytest.mark.parametrize("line", ["train.epochs = abc", "seeds = 0,x",
-                                      "manifold.curvature_K = flat"])
+                                      "manifold.curvature_K = flat",
+                                      "seeds = -1", "seeds = ",
+                                      "dataset.seed = -3", "train.seed = -1",
+                                      "scenario.old_arch = -1",
+                                      "scenario.old_arch = 0",
+                                      "alignment.lambda_align = nan",
+                                      "train.learning_rate = nan",
+                                      "train.momentum = nan",
+                                      "manifold.curvature_K = inf",
+                                      "dataset.class_center_scale = nan"])
     def test_bad_value_exits_2(self, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(line + "\n")
@@ -331,6 +403,18 @@ class TestCli:
                          "--metric", metric]) == 2
         cfg_path = self._write_cfg(tmp_path)
         assert main(["sweep", "--config", cfg_path, "--lambdas", "0.1,x"]) == 2
+
+    def test_evaluate_one_file_twice_is_self_mode(self, tmp_path, capsys):
+        rng = np.random.default_rng(3)
+        es = EmbeddingSet(rng.normal(size=(30, 4)), np.arange(30) % 5, "euclidean")
+        store = tmp_path / "set.emb"
+        save_embedding_set(store, es)
+        os.symlink(store, tmp_path / "link.emb")
+        expected = cmc_at_k(es, es, 1)
+        assert expected < 1.0
+        for gallery in (store, tmp_path / "link.emb"):
+            assert main(["evaluate", "--queries", str(store), "--gallery", str(gallery)]) == 0
+            assert capsys.readouterr().out == f"cmc@1 = {expected:.6f}\n"
 
     def test_evaluate_curvature_mismatch_exits_2(self, tmp_path):
         rng = np.random.default_rng(0)
