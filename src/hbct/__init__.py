@@ -7,12 +7,12 @@ evaluation harness.
 """
 
 from .manifold import (LorentzPoint, ManifoldConfig, TangentVector,
-                       expm_origin, geodesic_distance, lift, logm_origin,
-                       lorentz_inner, project_tangent, rescale_clip, uncertainty)
+                       expm_origin, geodesic_distance, logm_origin, rescale_clip,
+                       uncertainty)
 from .losses import (AlignmentConfig, aperture, base_loss,
                      contrastive_loss, entailment_loss, exterior_angle,
                      infonce_loss, mean_distortion_loss, mlr_logits, total_loss)
-from .encoder import (ClipPolicy, EncoderModel, TrainConfig, embed, embed_batch,
+from .encoder import (ClipPolicy, EncoderModel, TrainConfig, embed_batch,
                       load_checkpoint, save_checkpoint, train_new, train_old)
 from .evaluation import (CompatReport, EmbeddingSet, cmc_at_k,
                          compatibility_matrix, mean_average_precision, p_com,

@@ -97,7 +97,8 @@ class Var:
         return getitem(self, key)
 
     def reshape(self, *shape):
-        return reshape(self, shape)
+        return _apply(np.reshape, (lambda g, o, v, shape: np.reshape(g, np.shape(v)), None),
+                      self, shape)
 
     def __add__(self, other):
         return add(self, other)
@@ -123,9 +124,6 @@ class Var:
 
     def __neg__(self):
         return neg(self)
-
-    def __pow__(self, other):
-        return powr(self, other)
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -318,11 +316,6 @@ def matmul(a, b):
 
 def transpose(x):
     return _apply(np.transpose, (lambda g, o, v: np.transpose(g),), x)
-
-
-def reshape(x, shape):
-    return _apply(np.reshape, (lambda g, o, v, shape: np.reshape(g, np.shape(v)), None),
-                  x, shape)
 
 
 def _getitem_vjp(g, out, v, key):

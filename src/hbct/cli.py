@@ -1,7 +1,9 @@
 """Command-line surface: dataset generation, training, evaluation, and the
 end-to-end scenario / sequential-matrix / sweep experiments.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical or training failure.
+Exit codes: 0 success, 2 bad configuration or input (including a missing or
+unreadable input file and an unwritable output path), 3 numerical or training
+failure.
 The output root is the current directory unless HBCT_OUTPUT_ROOT is set.
 """
 
@@ -71,21 +73,14 @@ def build_parser():
     return p
 
 
-def _load_cfg(path):
-    try:
-        return cfgmod.load(path)
-    except FileNotFoundError as e:
-        raise InvalidArgumentError(str(e)) from e
-
-
 def _cmd_generate(args):
-    cfg = _load_cfg(args.config)
+    cfg = cfgmod.load(args.config)
     save_dataset(args.out, generate_dataset(cfg.dataset))
     print(f"wrote dataset to {args.out}")
 
 
 def _cmd_train_old(args):
-    cfg = _load_cfg(args.config)
+    cfg = cfgmod.load(args.config)
     ds = load_dataset(args.data)
     model, head, losses = train_old(ds.train_X, ds.train_y, ds.num_classes,
                                     cfg.manifold, cfg.clip, cfg.train,
@@ -95,7 +90,7 @@ def _cmd_train_old(args):
 
 
 def _cmd_train_new(args):
-    cfg = _load_cfg(args.config)
+    cfg = cfgmod.load(args.config)
     ds = load_dataset(args.data)
     old_model, _, K, zeta = load_checkpoint(args.old)
     want = (cfg.manifold.curvature_K, cfg.clip.zeta(old_model.generation_tag))
@@ -119,7 +114,7 @@ def _cmd_evaluate(args):
 
 
 def _cmd_scenario(args):
-    cfg = _load_cfg(args.config)
+    cfg = cfgmod.load(args.config)
     results = run_scenario(cfg)
     for seed, res in results.items():
         rep = res.reports.get("cmc@1")
@@ -128,7 +123,7 @@ def _cmd_scenario(args):
 
 
 def _cmd_matrix(args):
-    cfg = _load_cfg(args.config)
+    cfg = cfgmod.load(args.config)
     results = run_matrix(cfg, metric=args.metric)
     for seed, (m_hbct, m_base) in results.items():
         print(f"seed {seed}: HBCT matrix")
@@ -136,7 +131,7 @@ def _cmd_matrix(args):
 
 
 def _cmd_sweep(args):
-    cfg = _load_cfg(args.config)
+    cfg = cfgmod.load(args.config)
     try:
         lambdas = [float(v) for v in args.lambdas.split(",")]
     except ValueError:
@@ -168,8 +163,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         _COMMANDS[args.command](args)
-    except InvalidArgumentError as e:
-        print(f"config error: {e}", file=sys.stderr)
+    except (InvalidArgumentError, OSError) as e:
+        print(f"bad config or input: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (TrainingFailureError, NumericalDomainError, DegenerateBaselineError) as e:
         print(f"numerical/training failure: {e}", file=sys.stderr)

@@ -7,20 +7,12 @@ ExperimentConfig.
 
 from __future__ import annotations
 
-from .encoder import ClipPolicy, TrainConfig
-from .errors import InvalidArgumentError
-from .losses import AlignmentConfig
-from .manifold import ManifoldConfig
-from .scenarios import ExperimentConfig, ScenarioSpec, SyntheticDatasetSpec
+from dataclasses import replace
 
-_SECTIONS = {
-    "manifold": ManifoldConfig,
-    "alignment": AlignmentConfig,
-    "clip": ClipPolicy,
-    "train": TrainConfig,
-    "dataset": SyntheticDatasetSpec,
-    "scenario": ScenarioSpec,
-}
+from .errors import InvalidArgumentError
+from .scenarios import ExperimentConfig
+
+_SECTIONS = ("manifold", "alignment", "clip", "train", "dataset", "scenario")
 
 
 def _fmt(value):
@@ -77,24 +69,20 @@ def parse(text: str) -> ExperimentConfig:
 
     defaults = ExperimentConfig()
     kwargs = {}
-    for section, cls in _SECTIONS.items():
+    for section in _SECTIONS:
         sec_default = getattr(defaults, section)
         sec_kwargs = {}
-        for name in cls.__dataclass_fields__:
+        for name in sec_default.__dataclass_fields__:
             key = f"{section}.{name}"
             if key in values:
                 sec_kwargs[name] = _coerce(key, values.pop(key), getattr(sec_default, name))
-        kwargs[section] = cls(**{**_asdict_shallow(sec_default), **sec_kwargs})
+        kwargs[section] = replace(sec_default, **sec_kwargs)
     output_dir = values.pop("output_dir", defaults.output_dir)
     seeds = (_coerce("seeds", values.pop("seeds"), defaults.seeds)
              if "seeds" in values else defaults.seeds)
     if values:
         raise InvalidArgumentError(f"unknown config keys: {sorted(values)}")
     return ExperimentConfig(output_dir=output_dir, seeds=seeds, **kwargs)
-
-
-def _asdict_shallow(obj):
-    return {k: getattr(obj, k) for k in obj.__dataclass_fields__}
 
 
 def load(path) -> ExperimentConfig:

@@ -20,8 +20,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape
 from .errors import InvalidArgumentError, TrainingFailureError, NumericalDomainError
-from .losses import AlignmentConfig, mlr_logits, total_loss
-from .manifold import LorentzPoint, ManifoldConfig, hexpm_origin, rescale_clip, uncertainty
+from .losses import AlignmentConfig, total_loss
+from .manifold import ManifoldConfig, hexpm_origin, rescale_clip, uncertainty
 
 CHECKPOINT_MAGIC = b"HBCT"
 CHECKPOINT_VERSION = 1
@@ -34,6 +34,12 @@ class ClipPolicy:
 
     zeta_old: float = 1.0
     zeta_step: float = 0.2
+
+    def __post_init__(self):
+        if not 0.0 < self.zeta_old < math.inf:
+            raise InvalidArgumentError(f"zeta_old must be finite and > 0, got {self.zeta_old}")
+        if not math.isfinite(self.zeta_step):
+            raise InvalidArgumentError(f"zeta_step must be finite, got {self.zeta_step}")
 
     def zeta(self, generation: int) -> float:
         z = self.zeta_old + generation * self.zeta_step
@@ -89,10 +95,6 @@ class EncoderModel:
     def output_dim(self):
         return self.layers[-1][0].shape[0]
 
-    @property
-    def hidden_dims(self):
-        return tuple(W.shape[0] for W, _ in self.layers[:-1])
-
     def copy(self, generation_tag=None):
         tag = self.generation_tag if generation_tag is None else generation_tag
         return EncoderModel([(W.copy(), b.copy()) for W, b in self.layers], tag)
@@ -121,15 +123,8 @@ def embed_vars(params, X, zeta, mcfg: ManifoldConfig):
     return Z, hexpm_origin(Z, mcfg)
 
 
-def embed(model: EncoderModel, x, policy: ClipPolicy, mcfg: ManifoldConfig):
-    """x -> z (rescaled/clipped) -> hyperboloid point; returns (z, h)."""
-    z, (time, space) = embed_vars(model.params(), np.asarray(x, dtype=np.float64),
-                                  policy.zeta(model.generation_tag), mcfg)
-    return z, LorentzPoint(float(time), space)
-
-
 def embed_batch(model: EncoderModel, X, policy: ClipPolicy, mcfg: ManifoldConfig):
-    """Vectorized embed over rows of X.
+    """Embed the rows of X on the hyperboloid, with each point's uncertainty.
 
     Returns (Z, times, spaces, uncertainties); spaces has shape (N, d).
     """
@@ -230,12 +225,6 @@ def train_new(X, y, num_classes, old_model: EncoderModel, align_cfg: AlignmentCo
                   generation=old_model.generation_tag + 1,
                   align_cfg=align_cfg, old_model=old_model,
                   init_from_old=init_from_old)
-
-
-def classification_accuracy(model, head, X, y, policy, mcfg):
-    _, times, spaces, _ = embed_batch(model, X, policy, mcfg)
-    pred = np.argmax(mlr_logits((times, spaces), head, mcfg), axis=1)
-    return float(np.mean(pred == np.asarray(y)))
 
 
 # ---------------------------------------------------------------------------

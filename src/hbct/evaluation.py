@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBaselineError, InvalidArgumentError
-from .manifold import LorentzPoint
 
 STORE_MAGIC = b"HBCT"
 STORE_VERSION = 1
@@ -70,22 +69,6 @@ class EmbeddingSet:
         return cls(pts, labels, "lorentz", curvature_K, generation_tag)
 
 
-def _query_ambient(query, gallery: EmbeddingSet) -> np.ndarray:
-    if isinstance(query, LorentzPoint):
-        if gallery.geometry != "lorentz":
-            raise InvalidArgumentError("Lorentz query against a Euclidean gallery")
-        q = query.ambient
-    else:
-        q = np.asarray(query, dtype=np.float64)
-    if q.shape != gallery.points.shape[1:]:
-        raise InvalidArgumentError(
-            f"query shape {q.shape} does not match gallery rows "
-            f"{gallery.points.shape[1:]}")
-    if not np.isfinite(q).all():
-        raise InvalidArgumentError("query must be finite")
-    return q
-
-
 def _distances_to_gallery(q: np.ndarray, gallery: EmbeddingSet) -> np.ndarray:
     if gallery.geometry == "lorentz":
         K = gallery.curvature_K
@@ -104,10 +87,21 @@ def _rank(q: np.ndarray, gallery: EmbeddingSet) -> np.ndarray:
 
 
 def retrieve(query, gallery: EmbeddingSet) -> np.ndarray:
-    """Gallery indices sorted by ascending distance, ties by ascending index."""
+    """Gallery indices sorted by ascending distance, ties by ascending index.
+
+    ``query`` is one row in the gallery's coordinates: ambient [time, space...]
+    for a Lorentz gallery, a plain vector for a Euclidean one.
+    """
+    q = np.asarray(query, dtype=np.float64)
     if len(gallery) == 0:
         raise InvalidArgumentError("empty gallery")
-    return _rank(_query_ambient(query, gallery), gallery)
+    if q.shape != gallery.points.shape[1:]:
+        raise InvalidArgumentError(
+            f"query shape {q.shape} does not match gallery rows "
+            f"{gallery.points.shape[1:]}")
+    if not np.isfinite(q).all():
+        raise InvalidArgumentError("query must be finite")
+    return _rank(q, gallery)
 
 
 def _check_pairing(queries: EmbeddingSet, gallery: EmbeddingSet):

@@ -4,10 +4,10 @@ the combined training loss.
 
 Each objective is written once over a batch of points ``(times (B,),
 spaces (B, d))`` with MLR head rows ``(C, d)``, using :mod:`hbct.autodiff`
-operations: the same code evaluates on plain arrays (tests, oracles,
-classification accuracy) and on tape Vars (training).  Per-sample terms come
-back with the batch shape, so a single point gives a scalar.  Points may also
-be given as LorentzPoints or lists of points (see :func:`hbct.manifold.points`).
+operations: the same code evaluates on plain arrays (tests, oracles) and on
+tape Vars (training).  Per-sample terms come back with the batch shape, so a
+single point gives a scalar.  Points may also be given as LorentzPoints or
+lists of points (see :func:`hbct.manifold.points`).
 Per-lane branches (aperture saturation, exterior-angle clamps, degenerate head
 rows) select with ``where`` on sanitised arguments, so a masked lane neither
 raises nor leaks a non-finite value into the gradient.
@@ -52,12 +52,13 @@ class AlignmentConfig:
     def __post_init__(self):
         if not all(0.0 <= w < math.inf for w in (self.lambda_align, self.lambda_entail)):
             raise InvalidArgumentError("alignment weights must be finite and >= 0")
-        if not (self.tau > 0):
-            raise InvalidArgumentError(f"tau must be > 0, got {self.tau}")
+        if not 0.0 < self.tau < math.inf:
+            raise InvalidArgumentError(f"tau must be finite and > 0, got {self.tau}")
         if not (0 < self.beta <= 1):
             raise InvalidArgumentError(f"beta must be in (0, 1], got {self.beta}")
-        if not (self.epsilon_aperture > 0):
-            raise InvalidArgumentError("epsilon_aperture must be > 0")
+        if not 0.0 < self.epsilon_aperture < math.inf:
+            raise InvalidArgumentError(f"epsilon_aperture must be finite and > 0, "
+                                       f"got {self.epsilon_aperture}")
         if self.q_mode not in ("adaptive", "fixed"):
             raise InvalidArgumentError(f"unknown q_mode {self.q_mode!r}")
         if self.q_mode == "fixed" and not (0 < self.q_fixed <= 1):

@@ -74,18 +74,10 @@ class LorentzPoint:
 
 @dataclass(frozen=True)
 class TangentVector:
-    """A vector orthogonal (in the Lorentzian sense) to its base point."""
+    """A tangent vector [time, space] at the origin, as logm_origin returns it."""
 
     time: float
     space: np.ndarray
-    base: LorentzPoint
-
-    def __post_init__(self):
-        object.__setattr__(self, "space", np.asarray(self.space, dtype=np.float64))
-
-    @property
-    def ambient(self) -> np.ndarray:
-        return np.concatenate(([self.time], self.space))
 
 
 def points(x):
@@ -99,12 +91,6 @@ def points(x):
     pairs = [points(p) for p in x]
     return (np.array([t for t, _ in pairs], dtype=np.float64),
             np.array([s for _, s in pairs], dtype=np.float64))
-
-
-def _as_ambient(x) -> np.ndarray:
-    if isinstance(x, (LorentzPoint, TangentVector)):
-        return x.ambient
-    return np.asarray(x, dtype=np.float64)
 
 
 def hinner(x, y):
@@ -157,28 +143,6 @@ def uncertainty(x, cfg: ManifoldConfig):
     return 1.0 - ad.norm(spaces) / (math.sqrt(cfg.curvature_K) * times)
 
 
-def lorentz_inner(x, y) -> float:
-    """<x, y>_L = <x_space, y_space> - x_time * y_time of two ambient vectors."""
-    xa, ya = _as_ambient(x), _as_ambient(y)
-    if xa.shape != ya.shape:
-        raise InvalidArgumentError(f"dimension mismatch: {xa.shape} vs {ya.shape}")
-    return float(hinner((xa[0], xa[1:]), (ya[0], ya[1:])))
-
-
-def lift(space, cfg: ManifoldConfig) -> LorentzPoint:
-    """Complete spatial coordinates to a hyperboloid point.
-
-    time = sqrt(1/K + ||space||^2), the closed form every on-manifold point obeys.
-    """
-    space = np.asarray(space, dtype=np.float64)
-    if space.shape != (cfg.dim_d,):
-        raise InvalidArgumentError(f"space must have shape ({cfg.dim_d},), got {space.shape}")
-    if not np.all(np.isfinite(space)):
-        raise InvalidArgumentError("space has non-finite entries")
-    time = math.sqrt(1.0 / cfg.curvature_K + float(np.dot(space, space)))
-    return LorentzPoint(time, space)
-
-
 def geodesic_distance(x: LorentzPoint, y: LorentzPoint, cfg: ManifoldConfig) -> float:
     """d(x, y) between two points; raises NumericalDomainError off the manifold."""
     return float(hdist(x, y, cfg))
@@ -204,21 +168,9 @@ def logm_origin(x: LorentzPoint, cfg: ManifoldConfig) -> TangentVector:
     a = float(ad.acosh(sqrt_K * x.time))  # sqrt(K) * x_time equals -K * <0bar, x>_L
     # proj_0bar(x) = [0, x_space]; coefficient a / sinh(a) with series limit 1.
     coeff = 1.0 if a < SERIES_EPS else a / math.sinh(a)
-    return TangentVector(0.0, coeff * x.space, cfg.origin)
-
-
-def project_tangent(p: LorentzPoint, u, cfg: ManifoldConfig) -> TangentVector:
-    """Project an ambient vector onto the tangent space at p.
-
-    proj_p(u) = u + K * p * <p, u>_L, which satisfies <p, proj_p(u)>_L = 0.
-    """
-    ua = _as_ambient(u)
-    if ua.shape != (cfg.dim_d + 1,):
-        raise InvalidArgumentError(f"u must have shape ({cfg.dim_d + 1},), got {ua.shape}")
-    out = ua + cfg.curvature_K * p.ambient * lorentz_inner(p, ua)
-    return TangentVector(float(out[0]), out[1:], p)
+    return TangentVector(0.0, coeff * x.space)
 
 
 def on_manifold_defect(x: LorentzPoint, cfg: ManifoldConfig) -> float:
     """|<x, x>_L + 1/K|, zero for points exactly on the hyperboloid."""
-    return abs(lorentz_inner(x, x) + 1.0 / cfg.curvature_K)
+    return abs(float(hinner(x, x)) + 1.0 / cfg.curvature_K)

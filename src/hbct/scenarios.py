@@ -11,8 +11,11 @@ and the aligned HBCT model, then evaluates all retrieval pairings.
 
 from __future__ import annotations
 
+import lzma
 import math
 import os
+import zipfile
+import zlib
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -151,10 +154,40 @@ def save_dataset(path, ds: Dataset):
              gallery_X=ds.gallery_X, gallery_y=ds.gallery_y)
 
 
+_DATASET_KEYS = ("train_X", "train_y", "query_X", "query_y", "gallery_X", "gallery_y")
+
+
 def load_dataset(path) -> Dataset:
-    with np.load(path) as z:
-        return Dataset(z["train_X"], z["train_y"], z["query_X"], z["query_y"],
-                       z["gallery_X"], z["gallery_y"])
+    """Read a dataset written by save_dataset.
+
+    A file that is not an npz of the six split arrays, or whose arrays are not
+    finite numeric 2-d features with one non-negative integer label per row
+    (with an equal feature width in every split and a non-empty train split),
+    raises InvalidArgumentError.
+    """
+    with open(path, "rb") as f:
+        try:
+            z = np.load(f, allow_pickle=False)
+            if not isinstance(z, np.lib.npyio.NpzFile):
+                raise ValueError("it holds a single array, not an npz archive")
+            arrays = {key: z[key] for key in _DATASET_KEYS}
+        # what zipfile, its decompressors and the .npy parser raise on corrupt bytes
+        except (KeyError, ValueError, EOFError, OSError, RuntimeError,
+                zipfile.BadZipFile, zlib.error, lzma.LZMAError) as e:
+            raise InvalidArgumentError(f"{path} is not a dataset archive: {e}") from None
+    for split in ("train", "query", "gallery"):
+        X, y = arrays[f"{split}_X"], arrays[f"{split}_y"]
+        if X.dtype.kind not in "iuf" or X.ndim != 2 or not np.isfinite(X).all():
+            raise InvalidArgumentError(f"{split}_X must be a finite numeric 2-d array")
+        if X.shape[1] == 0 or X.shape[1] != arrays["train_X"].shape[1]:
+            raise InvalidArgumentError(f"{split}_X has {X.shape[1]} columns; every split "
+                                       f"needs the train width, at least 1")
+        if y.dtype.kind not in "iu" or y.shape != X.shape[:1] or np.any(y < 0):
+            raise InvalidArgumentError(
+                f"{split}_y must hold one non-negative integer label per row of {split}_X")
+    if len(arrays["train_X"]) == 0:
+        raise InvalidArgumentError("the train split is empty")
+    return Dataset(**arrays)
 
 
 # ---------------------------------------------------------------------------

@@ -6,12 +6,11 @@ import struct
 import numpy as np
 import pytest
 
-from hbct.encoder import (ClipPolicy, EncoderModel, TrainConfig,
-                          classification_accuracy, embed, embed_batch,
+from hbct.encoder import (ClipPolicy, EncoderModel, TrainConfig, embed_batch,
                           load_checkpoint, save_checkpoint, train_new, train_old)
 from hbct.errors import InvalidArgumentError, TrainingFailureError
-from hbct.losses import AlignmentConfig
-from hbct.manifold import ManifoldConfig, lift
+from hbct.losses import AlignmentConfig, mlr_logits
+from hbct.manifold import LorentzPoint, ManifoldConfig, on_manifold_defect
 
 MCFG = ManifoldConfig(1.0, 4)
 POLICY = ClipPolicy(zeta_old=1.0, zeta_step=0.2)
@@ -32,35 +31,23 @@ def params_equal(a: EncoderModel, b: EncoderModel):
 class TestEmbed:
     def test_zero_model_maps_to_origin(self):
         model = EncoderModel([(np.zeros((4, 3)), np.zeros(4))])
-        z, h = embed(model, np.ones(3), POLICY, MCFG)
-        assert np.all(z == 0.0)
-        assert h == MCFG.origin
+        Z, times, spaces, _ = embed_batch(model, np.ones((1, 3)), POLICY, MCFG)
+        assert np.all(Z == 0.0)
+        assert LorentzPoint(times[0], spaces[0]) == MCFG.origin
 
     def test_clip_contract(self):
         rng = np.random.default_rng(0)
         model = EncoderModel.init(3, (8,), 4, rng, generation_tag=2)
         zeta = POLICY.zeta(2)
-        for _ in range(50):
-            z, _ = embed(model, 10.0 * rng.normal(size=3), POLICY, MCFG)
-            assert np.linalg.norm(z) <= zeta * (1.0 + 1e-12)
+        Z, _, _, _ = embed_batch(model, 10.0 * rng.normal(size=(50, 3)), POLICY, MCFG)
+        assert np.linalg.norm(Z, axis=1).max() <= zeta * (1.0 + 1e-12)
 
     def test_lift_consistency(self):
         rng = np.random.default_rng(1)
         model = EncoderModel.init(3, (), 4, rng)
-        for _ in range(20):
-            _, h = embed(model, rng.normal(size=3), POLICY, MCFG)
-            assert abs(lift(h.space, MCFG).time - h.time) <= 1e-9
-
-    def test_embed_batch_matches_embed(self):
-        rng = np.random.default_rng(2)
-        model = EncoderModel.init(3, (5,), 4, rng)
-        X = rng.normal(size=(10, 3))
-        Z, times, spaces, unc = embed_batch(model, X, POLICY, MCFG)
-        for i in range(len(X)):
-            z, h = embed(model, X[i], POLICY, MCFG)
-            assert np.max(np.abs(Z[i] - z)) <= 1e-12
-            assert abs(times[i] - h.time) <= 1e-12
-            assert np.max(np.abs(spaces[i] - h.space)) <= 1e-12
+        _, times, spaces, unc = embed_batch(model, rng.normal(size=(20, 3)), POLICY, MCFG)
+        for time, space in zip(times, spaces):
+            assert on_manifold_defect(LorentzPoint(time, space), MCFG) <= 1e-9
         assert np.all(unc >= 0.0) and np.all(unc <= 1.0)
 
 
@@ -83,7 +70,9 @@ class TestTrainOld:
 
     def test_separable_accuracy(self):
         X, y, (model, head, losses) = self._run()
-        assert classification_accuracy(model, head, X, y, POLICY, MCFG) >= 0.95
+        _, times, spaces, _ = embed_batch(model, X, POLICY, MCFG)
+        pred = np.argmax(mlr_logits((times, spaces), head, MCFG), axis=1)
+        assert np.mean(pred == y) >= 0.95
 
     def test_loss_decreases(self):
         _, _, (_, _, losses) = self._run(1)
@@ -146,7 +135,7 @@ class TestTrainNew:
         new, _, _ = train_new(X, y, 2, old, AlignmentConfig(), MCFG, POLICY, tcfg,
                               arch=(4,), init_from_old=True)
         assert new.generation_tag == old.generation_tag + 1
-        assert new.hidden_dims == old.hidden_dims
+        assert [W.shape for W, _ in new.layers] == [W.shape for W, _ in old.layers]
 
     def test_aligned_determinism(self):
         X, y = self._data(3)
@@ -183,7 +172,7 @@ class TestCheckpoint:
         assert loaded.generation_tag == 2
         assert K == MCFG.curvature_K
         assert zeta == POLICY.zeta(2)
-        assert loaded.hidden_dims == (6, 5)
+        assert [W.shape for W, _ in loaded.layers] == [(6, 3), (5, 6), (4, 5)]
 
     def test_wrong_length_rejected(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from hbct.errors import InvalidArgumentError, NumericalDomainError
 from hbct.manifold import (LorentzPoint, ManifoldConfig, expm_origin,
-                           geodesic_distance, lift, logm_origin, lorentz_inner,
-                           on_manifold_defect, project_tangent, rescale_clip,
-                           uncertainty)
+                           geodesic_distance, hinner, logm_origin,
+                           on_manifold_defect, rescale_clip, uncertainty)
 
 K_GRID = (0.1, 0.5, 1.0, 1.5)
 
@@ -28,13 +27,13 @@ class TestLorentzInner:
     def test_origin_self_inner(self):
         cfg = ManifoldConfig(1.0, 3)
         o = cfg.origin
-        assert lorentz_inner(o, o) == pytest.approx(-1.0, abs=1e-15)
+        assert hinner(o, o) == pytest.approx(-1.0, abs=1e-15)
 
     def test_direct_arithmetic(self):
         # [1, 0] . [sqrt(2), 1] = 0*1 - 1*sqrt(2)
         x = LorentzPoint(1.0, [0.0])
         y = LorentzPoint(math.sqrt(2.0), [1.0])
-        assert lorentz_inner(x, y) == pytest.approx(-math.sqrt(2.0), abs=1e-15)
+        assert hinner(x, y) == pytest.approx(-math.sqrt(2.0), abs=1e-15)
 
     def test_space_dot_minus_time_product(self):
         # <a, b> = 5, times 2 and 3 -> 5 - 6 = -1
@@ -43,41 +42,7 @@ class TestLorentzInner:
         assert float(a @ b) == 5.0
         x = LorentzPoint(2.0, a)
         y = LorentzPoint(3.0, b)
-        assert lorentz_inner(x, y) == pytest.approx(-1.0, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(InvalidArgumentError):
-            lorentz_inner(LorentzPoint(1.0, [0.0]), LorentzPoint(1.0, [0.0, 0.0]))
-
-
-class TestLift:
-    def test_zero_space_is_origin(self):
-        cfg = ManifoldConfig(1.0, 4)
-        p = lift(np.zeros(4), cfg)
-        assert p.time == 1.0
-        assert np.all(p.space == 0.0)
-
-    def test_sinh_norm_gives_cosh_time(self):
-        cfg = ManifoldConfig(1.0, 2)
-        s = np.array([math.sinh(1.0), 0.0])
-        assert lift(s, cfg).time == pytest.approx(math.cosh(1.0), abs=1e-12)
-
-    def test_direct_arithmetic(self):
-        cfg = ManifoldConfig(0.25, 2)
-        assert lift([3.0, 4.0], cfg).time == pytest.approx(math.sqrt(29.0), abs=1e-12)
-
-    def test_non_finite_raises(self):
-        cfg = ManifoldConfig(1.0, 2)
-        with pytest.raises(InvalidArgumentError):
-            lift([np.inf, 0.0], cfg)
-
-    def test_on_manifold(self):
-        rng = np.random.default_rng(0)
-        for K in K_GRID:
-            cfg = ManifoldConfig(K, 5)
-            for _ in range(50):
-                p = lift(rng.normal(size=5), cfg)
-                assert on_manifold_defect(p, cfg) <= 1e-9
+        assert hinner(x, y) == pytest.approx(-1.0, abs=1e-15)
 
 
 class TestGeodesicDistance:
@@ -91,7 +56,7 @@ class TestGeodesicDistance:
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     def test_radial_arclength(self, t):
         cfg = ManifoldConfig(1.0, 2)
-        y = lift(np.array([math.sinh(t), 0.0]), cfg)
+        y = LorentzPoint(math.cosh(t), [math.sinh(t), 0.0])
         assert geodesic_distance(cfg.origin, y, cfg) == pytest.approx(t, abs=1e-9)
 
     def test_symmetry_and_triangle(self):
@@ -125,8 +90,7 @@ class TestExpmLogm:
         p = expm_origin(z, cfg)
         assert p.time == pytest.approx(math.cosh(1.0), abs=1e-12)
         assert p.space[0] == pytest.approx(math.sinh(1.0), abs=1e-12)
-        # cross-check: lifting the space part reproduces the same point
-        assert lift(p.space, cfg).time == pytest.approx(p.time, abs=1e-9)
+        assert on_manifold_defect(p, cfg) <= 1e-9
 
     def test_round_trip(self):
         rng = np.random.default_rng(3)
@@ -163,34 +127,6 @@ class TestExpmLogm:
             for _ in range(50):
                 p = expm_origin(rng.normal(size=4), cfg)
                 assert on_manifold_defect(p, cfg) <= 1e-9
-
-
-class TestProjectTangent:
-    def test_tangent_unchanged(self):
-        cfg = ManifoldConfig(1.0, 3)
-        rng = np.random.default_rng(6)
-        p = random_point(rng, cfg)
-        u = project_tangent(p, rng.normal(size=4), cfg)
-        again = project_tangent(p, u.ambient, cfg)
-        assert np.max(np.abs(again.ambient - u.ambient)) <= 1e-9
-
-    def test_normal_direction_annihilated(self):
-        cfg = ManifoldConfig(1.0, 3)
-        p = random_point(np.random.default_rng(7), cfg)
-        out = project_tangent(p, p.ambient, cfg)
-        assert np.max(np.abs(out.ambient)) <= 1e-9
-
-    def test_orthogonality(self):
-        rng = np.random.default_rng(8)
-        for K in K_GRID:
-            cfg = ManifoldConfig(K, 5)
-            for _ in range(30):
-                p = random_point(rng, cfg)
-                out = project_tangent(p, rng.normal(size=6), cfg)
-                # round-off scales with the operand magnitudes, so the
-                # tolerance is relative for far-from-origin points
-                scale = max(1.0, np.linalg.norm(p.ambient) * np.linalg.norm(out.ambient))
-                assert abs(lorentz_inner(p, out)) <= 1e-9 * scale
 
 
 class TestRescaleClip:

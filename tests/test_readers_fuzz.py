@@ -1,10 +1,13 @@
 """Fuzzing the binary readers: any byte string either loads as a well-formed
-embedding store / checkpoint or raises InvalidArgumentError, nothing else.
+embedding store / checkpoint / dataset or raises InvalidArgumentError, nothing
+else.
 
 Two input families per reader: arbitrary bytes, and well-formed headers whose
-fields (counts, widths, layer shapes, floats) and body lengths are random.
+fields (counts, widths, layer shapes, floats) and body lengths are random; for
+datasets, valid archives with altered arrays or bytes.
 """
 
+import io
 import struct
 
 import numpy as np
@@ -14,6 +17,7 @@ from hypothesis import strategies as st
 from hbct.encoder import load_checkpoint
 from hbct.errors import InvalidArgumentError
 from hbct.evaluation import load_embedding_set
+from hbct.scenarios import Dataset, load_dataset
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -94,3 +98,69 @@ def test_checkpoint_reader(tmp_path, data):
         n_layers, n_classes = struct.unpack_from("<II", data, 32)
         assert len(model.layers) == n_layers
         assert head.shape == (n_classes, model.output_dim)
+
+
+BASE_X, BASE_Y = np.arange(12.0).reshape(4, 3), np.arange(4) % 3
+# a valid dataset: 4 rows of width 3 in each split
+VALID_ARRAYS = {f"{split}_{part}": value for split in ("train", "query", "gallery")
+                for part, value in (("X", BASE_X), ("y", BASE_Y))}
+
+
+def dataset_bytes(save=np.savez, **changes):
+    """The valid dataset archive with the given arrays replaced, or dropped
+    where the value is None."""
+    arrays = {**VALID_ARRAYS, **changes}
+    buf = io.BytesIO()
+    save(buf, **{key: value for key, value in arrays.items() if value is not None})
+    return buf.getvalue()
+
+
+@st.composite
+def dataset_files(draw):
+    """A dataset archive, stored or compressed, with at most one array
+    replaced by one of another dtype, shape or value, or dropped; then
+    possibly some bytes overwritten or the file cut short."""
+    changes = {}
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(VALID_ARRAYS)))
+        v = VALID_ARRAYS[key]
+        changes[key] = draw(st.sampled_from([
+            None, v[:0], v[:1], v[..., None], np.float64(1.0), v.astype(str),
+            v.astype(bool), v + 0.5, v - 9, v * np.nan, v * 1j]))
+    data = bytearray(dataset_bytes(draw(st.sampled_from([np.savez, np.savez_compressed])),
+                                   **changes))
+    kind = draw(st.sampled_from(["none", "bytes", "cut"]))
+    if kind == "bytes":
+        for _ in range(draw(st.integers(1, 4))):
+            data[draw(st.integers(0, len(data) - 1))] = draw(st.integers(0, 255))
+    elif kind == "cut":
+        data = data[:draw(st.integers(0, len(data) - 1))]
+    return bytes(data)
+
+
+def _npy_bytes():
+    buf = io.BytesIO()
+    np.save(buf, BASE_X)
+    return buf.getvalue()
+
+
+@FUZZ
+@given(data=st.one_of(st.binary(max_size=256), dataset_files()))
+@example(data=dataset_bytes()[:200])  # truncated
+@example(data=dataset_bytes(train_y=None))
+@example(data=_npy_bytes())
+@example(data=b"hello world")
+@example(data=dataset_bytes(train_X=BASE_X.astype(str)))
+@example(data=dataset_bytes(train_X=BASE_X[:0], train_y=BASE_Y[:0]))
+@example(data=dataset_bytes(train_X=np.where(BASE_X == 5.0, np.nan, BASE_X)))
+@example(data=dataset_bytes(train_y=BASE_Y + 0.5))
+@example(data=dataset_bytes(query_y=BASE_Y - 9))
+def test_dataset_reader(tmp_path, data):
+    ds = _loads_or_refuses(load_dataset, tmp_path, data, "fuzz.npz")
+    if ds is not None:
+        assert isinstance(ds, Dataset) and len(ds.train_X) > 0
+        for X, y in ((ds.train_X, ds.train_y), (ds.query_X, ds.query_y),
+                     (ds.gallery_X, ds.gallery_y)):
+            assert X.ndim == 2 and X.shape[1] == ds.train_X.shape[1] and len(y) == len(X)
+            assert np.isfinite(X).all()
+            assert y.dtype.kind in "iu" and np.all(y >= 0)

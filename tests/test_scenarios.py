@@ -371,7 +371,19 @@ class TestCli:
         assert "map = " in capsys.readouterr().out
 
     def test_missing_config_exits_2(self, tmp_path):
-        assert main(["scenario", "--config", str(tmp_path / "absent.cfg")]) == 2
+        cfg_path = self._write_cfg(tmp_path)
+        data = str(tmp_path / "data.npz")
+        assert main(["generate", "--config", cfg_path, "--out", data]) == 0
+        absent, out = str(tmp_path / "absent"), str(tmp_path / "out")
+        # a missing config or input file, and an output path in a missing directory
+        for argv in (["scenario", "--config", absent + ".cfg"],
+                     ["train-old", "--config", cfg_path, "--data", absent + ".npz",
+                      "--out", out],
+                     ["train-new", "--config", cfg_path, "--data", data,
+                      "--old", absent + ".ckpt", "--out", out],
+                     ["evaluate", "--queries", absent + ".emb", "--gallery", absent + ".emb"],
+                     ["generate", "--config", cfg_path, "--out", absent + "/data.npz"]):
+            assert main(argv) == 2, argv
 
     def test_bad_config_exits_2(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -388,10 +400,17 @@ class TestCli:
                                       "train.learning_rate = nan",
                                       "train.momentum = nan",
                                       "manifold.curvature_K = inf",
-                                      "dataset.class_center_scale = nan"])
+                                      "dataset.class_center_scale = nan",
+                                      "alignment.tau = inf",
+                                      "alignment.epsilon_aperture = inf",
+                                      "clip.zeta_old = nan", "clip.zeta_old = 0",
+                                      "clip.zeta_step = inf"])
     def test_bad_value_exits_2(self, tmp_path, line):
         path = tmp_path / "bad.cfg"
         path.write_text(line + "\n")
+        # refused when the config is read: generate trains nothing that could refuse it later
+        assert main(["generate", "--config", str(path),
+                     "--out", str(tmp_path / "data.npz")]) == 2
         assert main(["scenario", "--config", str(path)]) == 2
 
     def test_bad_metric_and_lambdas_exit_2(self, tmp_path, monkeypatch):
