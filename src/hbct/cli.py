@@ -20,8 +20,8 @@ from .encoder import load_checkpoint, save_checkpoint, train_new, train_old
 from .errors import (DegenerateBaselineError, InvalidArgumentError,
                      NumericalDomainError, TrainingFailureError)
 from .evaluation import evaluate_metric, load_embedding_set
-from .scenarios import (generate_dataset, load_dataset, run_matrix, run_scenario,
-                        run_sweep, save_dataset)
+from .scenarios import (DEFAULT_METRICS, generate_dataset, load_dataset, run_matrix,
+                        run_scenario, run_sweep, save_dataset)
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -60,6 +60,8 @@ def build_parser():
 
     sc = sub.add_parser("scenario", help="end-to-end scenario over all seeds")
     _add_config_arg(sc)
+    sc.add_argument("--metrics", default=",".join(DEFAULT_METRICS),
+                    help="comma-separated cmc@<k> or map; the first is printed")
 
     mx = sub.add_parser("matrix", help="sequential-update compatibility matrix")
     _add_config_arg(mx)
@@ -115,9 +117,10 @@ def _cmd_evaluate(args):
 
 def _cmd_scenario(args):
     cfg = cfgmod.load(args.config)
-    results = run_scenario(cfg)
+    metrics = args.metrics.split(",")
+    results = run_scenario(cfg, metrics=metrics)
     for seed, res in results.items():
-        rep = res.reports.get("cmc@1")
+        rep = res.reports[metrics[0]]
         print(f"seed {seed}: p_com={rep.p_com:.4f} p_up={rep.p_up:.4f} "
               f"cross={rep.cross_value:.4f} self={rep.self_value:.4f}")
 

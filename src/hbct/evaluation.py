@@ -3,10 +3,11 @@ and sequential-update compatibility matrices.
 
 Lorentz embedding sets are ranked by geodesic distance, Euclidean sets by
 cosine distance; mixing geometries, Lorentz curvatures or row widths between
-query and gallery is an error, and so is a non-finite embedding or an empty set.
-Galleries are scanned exactly (no ANN index); ties break toward the lower
-gallery index so rankings are deterministic.  CMC@k and mAP are read off each
-query's ranks of its same-label gallery items.
+query and gallery is an error, and so is a non-finite embedding, an empty set
+or an inner product that overflows float64.  Galleries are scanned exactly (no
+ANN index), a block of queries at a time; ties break toward the lower gallery
+index so rankings are deterministic.  CMC@k and mAP are read off each query's
+ranks of its same-label gallery items, found without sorting gallery indices.
 """
 
 from __future__ import annotations
@@ -69,21 +70,37 @@ class EmbeddingSet:
         return cls(pts, labels, "lorentz", curvature_K, generation_tag)
 
 
-def _distances_to_gallery(q: np.ndarray, gallery: EmbeddingSet) -> np.ndarray:
+# distance entries per query block: a block of max(1, _BLOCK // len(gallery))
+# queries is ranked at once, which bounds the working memory
+_BLOCK = 1 << 14
+
+
+def _distances(Q: np.ndarray, gallery: EmbeddingSet) -> np.ndarray:
+    """(len(Q), len(gallery)) distances from each query row to each gallery row.
+
+    The matmul over a trailing vector axis runs one gemv per query, so every
+    row is bit-identical to ranking that query alone (a GEMM rounds differently
+    and could flip near-ties).  A product that overflows float64 is refused:
+    clamped, it would read as a distance of 0.
+    """
+    P = gallery.points
+    with np.errstate(over="ignore", invalid="ignore"):
+        if gallery.geometry == "lorentz":
+            K = gallery.curvature_K
+            arg = -K * (np.matmul(P[:, 1:], Q[:, 1:, None])[..., 0] - P[:, 0] * Q[:, :1])
+            products = (arg,)
+        else:
+            qn = np.sqrt(np.matmul(Q[:, None, :], Q[:, :, None])[:, 0])
+            gn = np.linalg.norm(P, axis=1)
+            dots = np.matmul(P, Q[:, :, None])[..., 0]
+            products = (qn, gn, dots)
+    if not all(np.isfinite(a).all() for a in products):
+        raise InvalidArgumentError("an inner product or norm overflows float64; "
+                                   "the embeddings are too large to rank")
     if gallery.geometry == "lorentz":
-        K = gallery.curvature_K
-        inner = gallery.points[:, 1:] @ q[1:] - gallery.points[:, 0] * q[0]
-        return np.arccosh(np.maximum(-K * inner, 1.0)) / math.sqrt(K)
+        return np.arccosh(np.maximum(arg, 1.0)) / math.sqrt(K)
     # cosine distance for Euclidean sets
-    qn = np.linalg.norm(q)
-    gn = np.linalg.norm(gallery.points, axis=1)
-    denom = np.maximum(qn * gn, 1e-300)
-    return 1.0 - (gallery.points @ q) / denom
-
-
-def _rank(q: np.ndarray, gallery: EmbeddingSet) -> np.ndarray:
-    """Gallery indices by ascending distance to q, ties by ascending index."""
-    return np.argsort(_distances_to_gallery(q, gallery), kind="stable")
+    return 1.0 - dots / np.maximum(qn * gn, 1e-300)
 
 
 def retrieve(query, gallery: EmbeddingSet) -> np.ndarray:
@@ -101,7 +118,7 @@ def retrieve(query, gallery: EmbeddingSet) -> np.ndarray:
             f"{gallery.points.shape[1:]}")
     if not np.isfinite(q).all():
         raise InvalidArgumentError("query must be finite")
-    return _rank(q, gallery)
+    return np.argsort(_distances(q[None], gallery)[0], kind="stable")
 
 
 def _check_pairing(queries: EmbeddingSet, gallery: EmbeddingSet):
@@ -123,15 +140,49 @@ def _check_pairing(queries: EmbeddingSet, gallery: EmbeddingSet):
 
 
 def _relevant_ranks(queries: EmbeddingSet, gallery: EmbeddingSet):
-    """Yield each query's 0-based ranks of its same-label gallery items; when
-    ``queries is gallery`` the query's own row is dropped before ranking."""
+    """Yield each query's ascending 0-based ranks of its same-label gallery
+    items; when ``queries is gallery`` the query's own row is dropped first.
+
+    No gallery index is sorted.  Each block of queries gets one distance
+    block; an item's rank is the count of smaller distances in its query's
+    row, found by binary search in the value-sorted row, plus the count of
+    equal distances at lower gallery indices.
+    """
     _check_pairing(queries, gallery)
     self_mode = queries is gallery
-    for qi, (q, label) in enumerate(zip(queries.points, queries.labels)):
-        order = _rank(q, gallery)
+    G = len(gallery)
+    step = max(1, _BLOCK // G)
+    for start in range(0, len(queries), step):
+        d = _distances(queries.points[start:start + step], gallery)
+        T = len(d)
+        rows, cols = np.nonzero(queries.labels[start:start + T, None] == gallery.labels)
         if self_mode:
-            order = order[order != qi]
-        yield np.flatnonzero(gallery.labels[order] == label)
+            # distances are finite, so +inf ranks the own row after every item
+            own = np.arange(T)
+            d[own, start + own] = np.inf
+            keep = cols != rows + start
+            rows, cols = rows[keep], cols[keep]
+        dist = d[rows, cols]
+        order = np.lexsort((cols, dist, rows))
+        rows, cols, dist = rows[order], cols[order], dist[order]
+        # rows laid end to end: real part the row, imaginary part the sorted distances
+        table = np.empty((T, G), np.complex128)
+        table.real = np.arange(T)[:, None]
+        table.imag = np.sort(d, axis=1)
+        keys = np.empty(len(rows), np.complex128)
+        keys.real, keys.imag = rows, dist
+        lo = np.searchsorted(table.ravel(), keys, "left")
+        hi = np.searchsorted(table.ravel(), keys, "right")
+        ranks = lo - rows * G
+        # an exact tie: the equal distances at lower gallery indices rank first.
+        # The pairs of one tie are adjacent and share lo, so they form one group.
+        tied = np.flatnonzero(hi - lo > 1)
+        for group in np.split(tied, np.flatnonzero(np.diff(lo[tied])) + 1):
+            if len(group):
+                i = group[0]
+                equal = np.flatnonzero(d[rows[i]] == dist[i])
+                ranks[group] += np.searchsorted(equal, cols[group])
+        yield from np.split(ranks, np.cumsum(np.bincount(rows, minlength=T))[:-1])
 
 
 def cmc_at_k(queries: EmbeddingSet, gallery: EmbeddingSet, k: int) -> float:

@@ -163,7 +163,8 @@ def load_dataset(path) -> Dataset:
     A file that is not an npz of the six split arrays, or whose arrays are not
     finite numeric 2-d features with one non-negative integer label per row
     (with an equal feature width in every split and a non-empty train split),
-    raises InvalidArgumentError.
+    raises InvalidArgumentError.  So does a label beyond int32, or a train
+    label not below the number of train rows.
     """
     with open(path, "rb") as f:
         try:
@@ -182,11 +183,18 @@ def load_dataset(path) -> Dataset:
         if X.shape[1] == 0 or X.shape[1] != arrays["train_X"].shape[1]:
             raise InvalidArgumentError(f"{split}_X has {X.shape[1]} columns; every split "
                                        f"needs the train width, at least 1")
-        if y.dtype.kind not in "iu" or y.shape != X.shape[:1] or np.any(y < 0):
+        # labels fit the int32 label field of an embedding store
+        if (y.dtype.kind not in "iu" or y.shape != X.shape[:1] or np.any(y < 0)
+                or np.any(y > np.iinfo(np.int32).max)):
             raise InvalidArgumentError(
-                f"{split}_y must hold one non-negative integer label per row of {split}_X")
-    if len(arrays["train_X"]) == 0:
+                f"{split}_y must hold one integer label in [0, 2**31) per row of {split}_X")
+    train_y = arrays["train_y"]
+    if len(train_y) == 0:
         raise InvalidArgumentError("the train split is empty")
+    # the classifier head gets a row for every class up to the largest label
+    if train_y.max() >= len(train_y):
+        raise InvalidArgumentError(f"the largest train label, {train_y.max()}, must be "
+                                   f"below the number of train rows, {len(train_y)}")
     return Dataset(**arrays)
 
 

@@ -5,10 +5,14 @@ store format."""
 import math
 import struct
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hbct import evaluation
 from hbct.errors import DegenerateBaselineError, InvalidArgumentError
 from hbct.evaluation import (CompatReport, EmbeddingSet, cmc_at_k,
                              compatibility_matrix, evaluate_metric,
@@ -190,6 +194,18 @@ class TestFailsClosed:
         with pytest.raises(InvalidArgumentError):
             EmbeddingSet(np.ones(3), [0, 1, 0], "euclidean")
 
+    @pytest.mark.parametrize("geometry", ["lorentz", "euclidean"])
+    def test_overflowing_products_rejected(self, geometry):
+        # the Lorentz inner product of the first two rows is +inf, which the
+        # arccosh clamp would turn into a distance of 0; the Euclidean norm overflows
+        pts = np.array([[1, 1e200, 0], [1, 1e200, 0], [1, 0.1, 0], [1, -0.1, 0]])
+        g = EmbeddingSet(pts, [0, 1, 0, 1], geometry)
+        for metric in ("cmc@1", "map"):
+            with pytest.raises(InvalidArgumentError, match="overflow"):
+                evaluate_metric(g, g, metric)
+        with pytest.raises(InvalidArgumentError, match="overflow"):
+            retrieve(pts[0], g)
+
     @pytest.mark.parametrize("count,width", [(0, 2**28), (1, 2**28), (0, 2**32 - 1)])
     def test_huge_store_width_rejected(self, tmp_path, count, width):
         path = tmp_path / "wide.emb"
@@ -223,6 +239,104 @@ class TestRankSemantics:
         assert cmc_at_k(twin, g, 1) == 1.0
         with pytest.raises(InvalidArgumentError):
             mean_average_precision(g, g)
+
+
+def row_distances(q, gallery):
+    """One query's distances, computed alone: one gemv over the gallery."""
+    P = gallery.points
+    if gallery.geometry == "lorentz":
+        K = gallery.curvature_K
+        inner = P[:, 1:] @ q[1:] - P[:, 0] * q[0]
+        return np.arccosh(np.maximum(-K * inner, 1.0)) / math.sqrt(K)
+    norms = np.linalg.norm(q) * np.linalg.norm(P, axis=1)
+    return 1.0 - (P @ q) / np.maximum(norms, 1e-300)
+
+
+def lexsort_metrics(queries, gallery, ks):
+    """CMC@k for each k and mAP (None when no query has a relevant item),
+    from a full (distance, index) sort of every query's row."""
+    index = np.arange(len(gallery))
+    hits, aps = dict.fromkeys(ks, 0), []
+    for qi, (q, label) in enumerate(zip(queries.points, queries.labels)):
+        order = np.lexsort((index, row_distances(q, gallery)))
+        if queries is gallery:
+            order = order[order != qi]
+        ranks = np.flatnonzero(gallery.labels[order] == label)
+        for k in ks:
+            hits[k] += bool(len(ranks)) and ranks[0] < k
+        if len(ranks):
+            aps.append(float(np.mean(np.arange(1, len(ranks) + 1) / (ranks + 1))))
+    return ({k: n / len(queries) for k, n in hits.items()},
+            float(np.mean(aps)) if aps else None)
+
+
+def _rows(rng, n, dim, geometry, step):
+    x = rng.normal(size=(n, dim))
+    if step:  # coarse coordinates: many exactly equal distances
+        x = np.round(x / step) * step
+    if geometry == "lorentz":
+        x = np.column_stack([np.sqrt(1.0 + (x ** 2).sum(axis=1)), x])
+    return x
+
+
+@st.composite
+def ranking_cases(draw):
+    """(queries, gallery, block): self or cross mode, both geometries, with
+    quantised coordinates and duplicated rows for ties."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    geometry = draw(st.sampled_from(["lorentz", "euclidean"]))
+    dim, step = draw(st.integers(1, 3)), draw(st.sampled_from([None, 0.5, 1.0]))
+    n_classes = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 40))
+    points = _rows(rng, n, dim, geometry, step)
+    if draw(st.booleans()):
+        points = points[rng.integers(0, n, n)]  # duplicated rows
+    gallery = EmbeddingSet(points, rng.integers(0, n_classes, n), geometry)
+    if draw(st.booleans()):
+        queries = gallery
+    else:
+        m = draw(st.integers(1, 20))
+        # some queries repeat gallery rows, so that their distances tie exactly
+        points = np.where(rng.random((m, 1)) < 0.3, points[rng.integers(0, n, m)],
+                          _rows(rng, m, dim, geometry, step))
+        queries = EmbeddingSet(points, rng.integers(0, n_classes, m), geometry)
+    # small blocks split the queries, and a block below len(gallery) holds one query
+    return queries, gallery, draw(st.sampled_from([1, 7, 64, 1 << 14]))
+
+
+class TestBlockedRanking:
+    """CMC@k and mAP equal a full lexsort oracle exactly, for every block size."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=ranking_cases())
+    def test_matches_lexsort_oracle(self, case):
+        queries, gallery, block = case
+        ks = sorted({1, 2, 5, len(gallery)})
+        cmc, mean_ap = lexsort_metrics(queries, gallery, ks)
+        with mock.patch.object(evaluation, "_BLOCK", block), warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # queries with no relevant item
+            for k in ks:
+                got = cmc_at_k(queries, gallery, k)
+                assert type(got) is float and got == cmc[k]
+            if mean_ap is None:
+                with pytest.raises(InvalidArgumentError):
+                    mean_average_precision(queries, gallery)
+            else:
+                assert mean_average_precision(queries, gallery) == mean_ap
+
+    @pytest.mark.parametrize("geometry,K", [("lorentz", 1.0), ("lorentz", 0.5),
+                                            ("euclidean", 1.0)])
+    def test_distance_rows_bit_identical_to_one_query(self, geometry, K):
+        rng = np.random.default_rng(51)
+        points = rng.normal(size=(20000, 8))
+        queries = rng.normal(size=(16, 8))
+        if geometry == "lorentz":
+            points, queries = (np.column_stack([np.sqrt(1.0 / K + (x ** 2).sum(axis=1)), x])
+                               for x in (points, queries))
+        gallery = EmbeddingSet(points, np.zeros(20000, dtype=int), geometry, K)
+        block = evaluation._distances(queries, gallery)
+        for row, q in zip(block, queries):
+            assert row.tobytes() == row_distances(q, gallery).tobytes()
 
 
 class TestCmc:

@@ -4,7 +4,8 @@ else.
 
 Two input families per reader: arbitrary bytes, and well-formed headers whose
 fields (counts, widths, layer shapes, floats) and body lengths are random; for
-datasets, valid archives with altered arrays or bytes.
+datasets, valid archives with altered arrays or bytes (labels out of range
+among them).
 """
 
 import io
@@ -126,7 +127,8 @@ def dataset_files(draw):
         v = VALID_ARRAYS[key]
         changes[key] = draw(st.sampled_from([
             None, v[:0], v[:1], v[..., None], np.float64(1.0), v.astype(str),
-            v.astype(bool), v + 0.5, v - 9, v * np.nan, v * 1j]))
+            v.astype(bool), v + 0.5, v - 9, v * np.nan, v * 1j, v + 4, v + 2**31,
+            v.astype(np.uint64) + 2**63]))
     data = bytearray(dataset_bytes(draw(st.sampled_from([np.savez, np.savez_compressed])),
                                    **changes))
     kind = draw(st.sampled_from(["none", "bytes", "cut"]))
@@ -155,6 +157,10 @@ def _npy_bytes():
 @example(data=dataset_bytes(train_X=np.where(BASE_X == 5.0, np.nan, BASE_X)))
 @example(data=dataset_bytes(train_y=BASE_Y + 0.5))
 @example(data=dataset_bytes(query_y=BASE_Y - 9))
+@example(data=dataset_bytes(train_y=BASE_Y + 2))  # a label of 4 needs a 5th train row
+@example(data=dataset_bytes(train_y=BASE_Y * 200000))
+@example(data=dataset_bytes(gallery_y=BASE_Y + 2**31 - 2))  # 2**31 overflows int32
+@example(data=dataset_bytes(query_y=BASE_Y.astype(np.uint64) + 2**63))
 def test_dataset_reader(tmp_path, data):
     ds = _loads_or_refuses(load_dataset, tmp_path, data, "fuzz.npz")
     if ds is not None:
@@ -163,4 +169,5 @@ def test_dataset_reader(tmp_path, data):
                      (ds.gallery_X, ds.gallery_y)):
             assert X.ndim == 2 and X.shape[1] == ds.train_X.shape[1] and len(y) == len(X)
             assert np.isfinite(X).all()
-            assert y.dtype.kind in "iu" and np.all(y >= 0)
+            assert y.dtype.kind in "iu" and np.all(y >= 0) and np.all(y < 2**31)
+        assert ds.train_y.max() < len(ds.train_y)

@@ -463,13 +463,17 @@ class TestCli:
 
         good = store("d3.emb", 4, 4)
         assert main(["evaluate", "--queries", good, "--gallery", good]) == 0
+        huge = str(tmp_path / "huge.emb")  # inner products overflow float64
+        save_embedding_set(huge, EmbeddingSet([[1, 1e200, 0], [1, 1e200, 0], [1, 0.1, 0],
+                                               [1, -0.1, 0]], [0, 1, 0, 1]))
         for queries, gallery in [(good, store("d5.emb", 4, 6)),    # 3-d vs 5-d
                                  (store("empty.emb", 0, 4), good),  # no queries
                                  (store("k-1.emb", 4, 4, K=-1.0),) * 2,
                                  (store("k0.emb", 4, 4, K=0.0),) * 2,
                                  (store("kinf.emb", 4, 4, K=math.inf),) * 2,
                                  (store("w1.emb", 4, 1),) * 2,
-                                 (store("wide.emb", 0, 2**28),) * 2]:
+                                 (store("wide.emb", 0, 2**28),) * 2,
+                                 (huge, huge)]:
             for metric in ("cmc@1", "map"):
                 assert main(["evaluate", "--queries", queries, "--gallery", gallery,
                              "--metric", metric]) == 2
@@ -481,9 +485,50 @@ class TestCli:
                             lambda *a, **k: calls.append(1) or train_old(*a, **k))
         cfg_path = self._write_cfg(tmp_path)
         for argv in (["matrix", "--metric", "cmc@x"], ["matrix", "--metric", "cmc@0"],
-                     ["sweep", "--metric", "mAP"], ["sweep", "--metric", "cmc@"]):
+                     ["sweep", "--metric", "mAP"], ["sweep", "--metric", "cmc@"],
+                     ["scenario", "--metrics", "map,cmc@0"], ["scenario", "--metrics", ""],
+                     ["scenario", "--metrics", "cmc@1,,map"]):
             assert main(argv + ["--config", cfg_path]) == 2
-        assert calls == []
+        assert calls == [] and not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("split,label", [("train", 200000), ("train", 2**31),
+                                             ("query", 2**31), ("gallery", 2**31)])
+    def test_out_of_range_label_exits_2(self, tmp_path, split, label):
+        # a train label of 200000 would build a 200001-row classifier head; any
+        # label beyond int32 could not be written to an embedding store
+        cfg_path = self._write_cfg(tmp_path)
+        ds = generate_dataset(tiny_cfg().dataset)
+        y = getattr(ds, f"{split}_y").copy()
+        y[0] = label
+        data, out = str(tmp_path / "data.npz"), tmp_path / "old.ckpt"
+        save_dataset(data, replace(ds, **{f"{split}_y": y}))
+        assert main(["train-old", "--config", cfg_path, "--data", data,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_scenario_metrics(self, tmp_path, monkeypatch, capsys):
+        # one seed's cmc anchors coincide on this config, so the default metrics
+        # end in a degenerate baseline; mAP alone completes every seed
+        monkeypatch.setenv("HBCT_OUTPUT_ROOT", str(tmp_path))
+        cfg = tiny_cfg(
+            manifold=ManifoldConfig(1.0, 8),
+            train=TrainConfig(epochs=3, batch_size=16, learning_rate=0.05),
+            dataset=SyntheticDatasetSpec(num_classes=12, samples_per_class=30,
+                                         input_dim=16),
+            scenario=ScenarioSpec(kind="ext_class", class_fraction=0.5,
+                                  old_arch=(16,), new_arch=(16,)),
+            seeds=(0, 1, 2))
+        with pytest.raises(DegenerateBaselineError):
+            run_scenario(cfg)
+        assert sorted(run_scenario(cfg, metrics=("map",))) == [0, 1, 2]
+        path = str(tmp_path / "exp.cfg")
+        cfgmod.save(path, cfg)
+        assert main(["scenario", "--config", path]) == 3
+        capsys.readouterr()
+        assert main(["scenario", "--config", path, "--metrics", "map"]) == 0
+        assert capsys.readouterr().out.count("p_com=") == 3
+        kv = (tmp_path / "runs" / "seed_2" / "report.kv").read_text()
+        assert kv.startswith("map.self = ") and "cmc" not in kv
 
     @pytest.mark.parametrize("override", [
         dict(dataset=SyntheticDatasetSpec(num_classes=6, samples_per_class=15, input_dim=4)),
