@@ -50,8 +50,6 @@ def build_parser():
     tn.add_argument("--data", required=True)
     tn.add_argument("--old", required=True, help="old model checkpoint")
     tn.add_argument("--out", required=True)
-    tn.add_argument("--init-from-old", action="store_true",
-                    help="start from the old model's weights instead of fresh")
 
     ev = sub.add_parser("evaluate", help="retrieval metric between two stores")
     ev.add_argument("--queries", required=True, help="query embedding store")
@@ -81,30 +79,24 @@ def _cmd_generate(args):
     print(f"wrote dataset to {args.out}")
 
 
-def _cmd_train_old(args):
+def _cmd_train(args):
     cfg = cfgmod.load(args.config)
     ds = load_dataset(args.data)
-    model, head, losses = train_old(ds.train_X, ds.train_y, ds.num_classes,
-                                    cfg.manifold, cfg.clip, cfg.train,
-                                    arch=cfg.scenario.old_arch)
+    data = (ds.train_X, ds.train_y, ds.num_classes)
+    if args.command == "train-old":
+        model, head, losses = train_old(*data, cfg.manifold, cfg.clip, cfg.train,
+                                        arch=cfg.scenario.old_arch)
+    else:
+        old_model, _, K, zeta = load_checkpoint(args.old)
+        want = (cfg.manifold.curvature_K, cfg.clip.zeta(old_model.generation_tag))
+        if (K, zeta) != want:
+            raise InvalidArgumentError(f"old checkpoint has curvature_K = {K}, "
+                                       f"zeta = {zeta}; the config gives {want[0]}, {want[1]}")
+        model, head, losses = train_new(*data, old_model, cfg.alignment, cfg.manifold,
+                                        cfg.clip, cfg.train, arch=cfg.scenario.new_arch)
     save_checkpoint(args.out, model, head, cfg.manifold, cfg.clip)
-    print(f"trained old model (final epoch loss {losses[-1]:.4f}); wrote {args.out}")
-
-
-def _cmd_train_new(args):
-    cfg = cfgmod.load(args.config)
-    ds = load_dataset(args.data)
-    old_model, _, K, zeta = load_checkpoint(args.old)
-    want = (cfg.manifold.curvature_K, cfg.clip.zeta(old_model.generation_tag))
-    if (K, zeta) != want:
-        raise InvalidArgumentError(f"old checkpoint has curvature_K = {K}, zeta = {zeta}; "
-                                   f"the config gives {want[0]}, {want[1]}")
-    model, head, losses = train_new(ds.train_X, ds.train_y, ds.num_classes,
-                                    old_model, cfg.alignment, cfg.manifold,
-                                    cfg.clip, cfg.train, arch=cfg.scenario.new_arch,
-                                    init_from_old=args.init_from_old)
-    save_checkpoint(args.out, model, head, cfg.manifold, cfg.clip)
-    print(f"trained new model (final epoch loss {losses[-1]:.4f}); wrote {args.out}")
+    print(f"trained {args.command.removeprefix('train-')} model "
+          f"(final epoch loss {losses[-1]:.4f}); wrote {args.out}")
 
 
 def _cmd_evaluate(args):
@@ -153,8 +145,8 @@ def _cmd_sweep(args):
 
 _COMMANDS = {
     "generate": _cmd_generate,
-    "train-old": _cmd_train_old,
-    "train-new": _cmd_train_new,
+    "train-old": _cmd_train,
+    "train-new": _cmd_train,
     "evaluate": _cmd_evaluate,
     "scenario": _cmd_scenario,
     "matrix": _cmd_matrix,

@@ -16,29 +16,17 @@ _SECTIONS = ("manifold", "alignment", "clip", "train", "dataset", "scenario")
 
 
 def _fmt(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, (tuple, list)):
         return ",".join(str(v) for v in value)
     return str(value)
 
 
 def _coerce(key, text, like):
-    if isinstance(like, bool):
-        if text.lower() in ("true", "1", "yes"):
-            return True
-        if text.lower() in ("false", "0", "no"):
-            return False
-        raise InvalidArgumentError(f"{key}: expected boolean, got {text!r}")
     try:
-        if isinstance(like, int):
-            return int(text)
-        if isinstance(like, float):
-            return float(text)
+        if isinstance(like, (int, float)):
+            return type(like)(text)
         if isinstance(like, (tuple, list)):
-            if text.strip() == "":
-                return ()
-            return tuple(int(v) for v in text.split(","))
+            return tuple(int(v) for v in text.split(",")) if text.strip() else ()
     except ValueError:
         raise InvalidArgumentError(
             f"{key}: expected {type(like).__name__} value(s), got {text!r}") from None

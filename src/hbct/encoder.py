@@ -56,7 +56,6 @@ class TrainConfig:
     momentum: float = 0.9
     weight_decay: float = 5e-4
     seed: int = 0
-    cosine_annealing: bool = True
 
     def __post_init__(self):
         if self.epochs <= 0 or self.batch_size <= 0:
@@ -80,12 +79,9 @@ class EncoderModel:
     @classmethod
     def init(cls, input_dim, hidden_dims, output_dim, rng, generation_tag=0):
         dims = [input_dim, *hidden_dims, output_dim]
-        layers = []
-        for fan_in, fan_out in zip(dims[:-1], dims[1:]):
-            W = rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=(fan_out, fan_in))
-            b = np.zeros(fan_out)
-            layers.append((W, b))
-        return cls(layers, generation_tag)
+        return cls([(rng.normal(0.0, 1.0 / math.sqrt(fan_in), size=(fan_out, fan_in)),
+                     np.zeros(fan_out)) for fan_in, fan_out in zip(dims[:-1], dims[1:])],
+                   generation_tag)
 
     @property
     def input_dim(self):
@@ -95,16 +91,8 @@ class EncoderModel:
     def output_dim(self):
         return self.layers[-1][0].shape[0]
 
-    def copy(self, generation_tag=None):
-        tag = self.generation_tag if generation_tag is None else generation_tag
-        return EncoderModel([(W.copy(), b.copy()) for W, b in self.layers], tag)
-
     def params(self):
-        out = []
-        for W, b in self.layers:
-            out.append(W)
-            out.append(b)
-        return out
+        return [a for layer in self.layers for a in layer]
 
 
 def embed_vars(params, X, zeta, mcfg: ManifoldConfig):
@@ -136,14 +124,8 @@ def embed_batch(model: EncoderModel, X, policy: ClipPolicy, mcfg: ManifoldConfig
 # ---------------------------------------------------------------------------
 # Training
 
-def _lr_at(tcfg: TrainConfig, epoch: int) -> float:
-    if not tcfg.cosine_annealing:
-        return tcfg.learning_rate
-    return tcfg.learning_rate * 0.5 * (1.0 + math.cos(math.pi * epoch / tcfg.epochs))
-
-
-def _train(X, y, num_classes, arch, mcfg, policy, tcfg, generation,
-           align_cfg=None, old_model=None, init_from_old=False):
+def _train(X, y, num_classes, arch, mcfg, policy, tcfg, align_cfg=None, old_model=None):
+    """Train generation 0 when ``old_model`` is None, else the generation after it."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or len(X) == 0:
@@ -155,14 +137,9 @@ def _train(X, y, num_classes, arch, mcfg, policy, tcfg, generation,
         raise InvalidArgumentError(
             f"old model maps {old_model.input_dim} -> {old_model.output_dim} dims; the "
             f"dataset and manifold.dim_d give {X.shape[1]} -> {mcfg.dim_d}")
+    generation = 0 if old_model is None else old_model.generation_tag + 1
     rng = np.random.default_rng(tcfg.seed)
-
-    if init_from_old:
-        if old_model is None:
-            raise InvalidArgumentError("init_from_old requires an old model")
-        model = old_model.copy(generation_tag=generation)
-    else:
-        model = EncoderModel.init(X.shape[1], arch, mcfg.dim_d, rng, generation)
+    model = EncoderModel.init(X.shape[1], arch, mcfg.dim_d, rng, generation)
     head = rng.normal(0.0, 0.1, size=(num_classes, mcfg.dim_d))
 
     aligned = align_cfg is not None and align_cfg.lambda_align > 0.0
@@ -177,7 +154,8 @@ def _train(X, y, num_classes, arch, mcfg, policy, tcfg, generation,
     epoch_losses = []
     step = 0
     for epoch in range(tcfg.epochs):
-        lr = _lr_at(tcfg, epoch)
+        # cosine annealing from the full rate at epoch 0
+        lr = tcfg.learning_rate * 0.5 * (1.0 + math.cos(math.pi * epoch / tcfg.epochs))
         perm = rng.permutation(len(X))
         losses = []
         for start in range(0, len(X), tcfg.batch_size):
@@ -214,17 +192,14 @@ def _train(X, y, num_classes, arch, mcfg, policy, tcfg, generation,
 def train_old(X, y, num_classes, mcfg: ManifoldConfig, policy: ClipPolicy,
               tcfg: TrainConfig, arch=()):
     """Train generation 0 with the base classification loss only."""
-    return _train(X, y, num_classes, arch, mcfg, policy, tcfg, generation=0)
+    return _train(X, y, num_classes, arch, mcfg, policy, tcfg)
 
 
 def train_new(X, y, num_classes, old_model: EncoderModel, align_cfg: AlignmentConfig,
               mcfg: ManifoldConfig, policy: ClipPolicy, tcfg: TrainConfig,
-              arch=(), init_from_old=False):
+              arch=()):
     """Train the next generation against a frozen old model."""
-    return _train(X, y, num_classes, arch, mcfg, policy, tcfg,
-                  generation=old_model.generation_tag + 1,
-                  align_cfg=align_cfg, old_model=old_model,
-                  init_from_old=init_from_old)
+    return _train(X, y, num_classes, arch, mcfg, policy, tcfg, align_cfg, old_model)
 
 
 # ---------------------------------------------------------------------------

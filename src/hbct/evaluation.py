@@ -75,7 +75,14 @@ class EmbeddingSet:
 _BLOCK = 1 << 14
 
 
-def _distances(Q: np.ndarray, gallery: EmbeddingSet) -> np.ndarray:
+def _gallery_norms(gallery: EmbeddingSet):
+    """A Euclidean gallery's row norms, taken once per ranking call; None for Lorentz."""
+    with np.errstate(over="ignore"):
+        return (None if gallery.geometry == "lorentz"
+                else np.linalg.norm(gallery.points, axis=1))
+
+
+def _distances(Q: np.ndarray, gallery: EmbeddingSet, gallery_norms) -> np.ndarray:
     """(len(Q), len(gallery)) distances from each query row to each gallery row.
 
     The matmul over a trailing vector axis runs one gemv per query, so every
@@ -91,16 +98,15 @@ def _distances(Q: np.ndarray, gallery: EmbeddingSet) -> np.ndarray:
             products = (arg,)
         else:
             qn = np.sqrt(np.matmul(Q[:, None, :], Q[:, :, None])[:, 0])
-            gn = np.linalg.norm(P, axis=1)
             dots = np.matmul(P, Q[:, :, None])[..., 0]
-            products = (qn, gn, dots)
+            products = (qn, gallery_norms, dots)
     if not all(np.isfinite(a).all() for a in products):
         raise InvalidArgumentError("an inner product or norm overflows float64; "
                                    "the embeddings are too large to rank")
     if gallery.geometry == "lorentz":
         return np.arccosh(np.maximum(arg, 1.0)) / math.sqrt(K)
     # cosine distance for Euclidean sets
-    return 1.0 - dots / np.maximum(qn * gn, 1e-300)
+    return 1.0 - dots / np.maximum(qn * gallery_norms, 1e-300)
 
 
 def retrieve(query, gallery: EmbeddingSet) -> np.ndarray:
@@ -118,7 +124,8 @@ def retrieve(query, gallery: EmbeddingSet) -> np.ndarray:
             f"{gallery.points.shape[1:]}")
     if not np.isfinite(q).all():
         raise InvalidArgumentError("query must be finite")
-    return np.argsort(_distances(q[None], gallery)[0], kind="stable")
+    return np.argsort(_distances(q[None], gallery, _gallery_norms(gallery))[0],
+                      kind="stable")
 
 
 def _check_pairing(queries: EmbeddingSet, gallery: EmbeddingSet):
@@ -150,10 +157,10 @@ def _relevant_ranks(queries: EmbeddingSet, gallery: EmbeddingSet):
     """
     _check_pairing(queries, gallery)
     self_mode = queries is gallery
-    G = len(gallery)
+    G, gn = len(gallery), _gallery_norms(gallery)
     step = max(1, _BLOCK // G)
     for start in range(0, len(queries), step):
-        d = _distances(queries.points[start:start + step], gallery)
+        d = _distances(queries.points[start:start + step], gallery, gn)
         T = len(d)
         rows, cols = np.nonzero(queries.labels[start:start + T, None] == gallery.labels)
         if self_mode:
@@ -236,9 +243,13 @@ class CompatReport:
 
     @classmethod
     def compute(cls, metric, self_value, cross_value, old_self_value, star_self_value):
-        return cls(metric, self_value, cross_value, old_self_value, star_self_value,
-                   p_com(cross_value, old_self_value, star_self_value),
-                   p_up(self_value, star_self_value))
+        try:
+            return cls(metric, self_value, cross_value, old_self_value, star_self_value,
+                       p_com(cross_value, old_self_value, star_self_value),
+                       p_up(self_value, star_self_value))
+        except DegenerateBaselineError as e:
+            e.args = (f"{metric}: {e}",)
+            raise
 
     def as_items(self):
         return [
@@ -293,7 +304,11 @@ def compatibility_matrix(embeddings, star_embeddings, metric: str) -> np.ndarray
             if i == j:
                 continue
             cross = evaluate_metric(embeddings[i][0], embeddings[j][1], metric)
-            out[i, j] = p_com(cross, self_vals[j], star_vals[i])
+            try:
+                out[i, j] = p_com(cross, self_vals[j], star_vals[i])
+            except DegenerateBaselineError as e:
+                e.args = (f"{metric}: {e}",)
+                raise
     return out
 
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from .encoder import (ClipPolicy, EncoderModel, TrainConfig, embed_batch,
                       save_checkpoint, train_new, train_old)
-from .errors import InvalidArgumentError
+from .errors import (DegenerateBaselineError, InvalidArgumentError, NumericalDomainError,
+                     TrainingFailureError)
 from .evaluation import (CompatReport, EmbeddingSet, compatibility_matrix,
                          evaluate_metric, parse_metric, save_embedding_set)
 from .losses import AlignmentConfig
@@ -118,34 +119,23 @@ class Dataset:
                        *pick(self.query_X, self.query_y),
                        *pick(self.gallery_X, self.gallery_y))
 
-    def subsample_train(self, fraction, rng):
-        n = len(self.train_X)
-        keep = rng.choice(n, size=max(1, int(round(fraction * n))), replace=False)
-        keep.sort()
-        return replace(self, train_X=self.train_X[keep], train_y=self.train_y[keep])
-
 
 def generate_dataset(spec: SyntheticDatasetSpec) -> Dataset:
     """Gaussian clusters with random class centers; deterministic under seed."""
     if spec.samples_per_class < 3:
         raise InvalidArgumentError("samples_per_class must be >= 3 to split three ways")
+    C, n, D = spec.num_classes, spec.samples_per_class, spec.input_dim
     rng = np.random.default_rng(spec.seed)
-    centers = rng.normal(size=(spec.num_classes, spec.input_dim))
+    centers = rng.normal(size=(C, D))
     centers *= spec.class_center_scale / np.linalg.norm(centers, axis=1, keepdims=True)
-    n_hold = max(1, spec.samples_per_class // 5)
-    tX, tY, qX, qY, gX, gY = [], [], [], [], [], []
-    for c in range(spec.num_classes):
-        samples = centers[c] + spec.cluster_spread * rng.normal(
-            size=(spec.samples_per_class, spec.input_dim))
-        qX.append(samples[:n_hold])
-        gX.append(samples[n_hold:2 * n_hold])
-        tX.append(samples[2 * n_hold:])
-        qY.append(np.full(n_hold, c))
-        gY.append(np.full(n_hold, c))
-        tY.append(np.full(spec.samples_per_class - 2 * n_hold, c))
-    return Dataset(np.concatenate(tX), np.concatenate(tY),
-                   np.concatenate(qX), np.concatenate(qY),
-                   np.concatenate(gX), np.concatenate(gY))
+    n_hold = max(1, n // 5)
+    # one draw fills the same stream, class by class, as one draw per class
+    samples = centers[:, None] + spec.cluster_spread * rng.normal(size=(C, n, D))
+
+    def split(lo, hi):
+        return samples[:, lo:hi].reshape(-1, D), np.repeat(np.arange(C), hi - lo)
+
+    return Dataset(*split(2 * n_hold, n), *split(0, n_hold), *split(n_hold, 2 * n_hold))
 
 
 def save_dataset(path, ds: Dataset):
@@ -257,21 +247,20 @@ class ScenarioResult:
 
 def scenario_slices(ds: Dataset, spec: ScenarioSpec, seed: int):
     """(old dataset slice, new dataset, old arch, new arch) for one run."""
-    full = ds
+    if spec.kind == "sequential":
+        raise InvalidArgumentError("a sequential scenario has no single-run slices; "
+                                   "use run_matrix")
+    old_ds = ds
     if spec.kind == "ext_data":
-        rng = np.random.default_rng(10_000 + seed)
-        old_ds = full.subsample_train(spec.old_fraction, rng)
-        return old_ds, full, spec.old_arch, spec.old_arch
-    if spec.kind == "ext_class":
-        n_old = max(1, int(round(spec.class_fraction * full.num_classes)))
-        return full.restrict_classes(range(n_old)), full, spec.old_arch, spec.old_arch
-    if spec.kind == "new_arch":
-        return full, full, spec.old_arch, spec.new_arch
-    if spec.kind == "both":
-        n_old = max(1, int(round(spec.class_fraction * full.num_classes)))
-        return (full.restrict_classes(range(n_old)), full,
-                spec.old_arch, spec.new_arch)
-    raise InvalidArgumentError(f"scenario kind {spec.kind!r} has no single-run slices")
+        n = len(ds.train_X)
+        keep = np.sort(np.random.default_rng(10_000 + seed).choice(
+            n, size=max(1, int(round(spec.old_fraction * n))), replace=False))
+        old_ds = replace(ds, train_X=ds.train_X[keep], train_y=ds.train_y[keep])
+    elif spec.kind in ("ext_class", "both"):
+        n_old = max(1, int(round(spec.class_fraction * ds.num_classes)))
+        old_ds = ds.restrict_classes(range(n_old))
+    new_arch = spec.new_arch if spec.kind in ("new_arch", "both") else spec.old_arch
+    return old_ds, ds, spec.old_arch, new_arch
 
 
 def run_variants(cfg: ExperimentConfig, seed: int, variants,
@@ -381,16 +370,26 @@ def write_report(path_prefix, reports):
                 f.write(f"{key} = {val!r}\n")
 
 
-def run_scenario(cfg: ExperimentConfig, metrics=DEFAULT_METRICS):
-    """Run every seed, write artifacts, and return the per-seed results."""
-    if cfg.scenario.kind == "sequential":
-        raise InvalidArgumentError("use run_matrix for sequential scenarios")
-    results = {}
+def _per_seed(cfg: ExperimentConfig, run) -> list:
+    """run(seed) for every seed, in order; a numerical failure's message names its seed."""
+    out = []
     for seed in cfg.seeds:
-        res = run_single(cfg, seed, metrics=metrics)
+        try:
+            out.append(run(seed))
+        except (TrainingFailureError, NumericalDomainError, DegenerateBaselineError) as e:
+            e.args = (f"seed {seed}, {e}",)
+            raise
+    return out
+
+
+def run_scenario(cfg: ExperimentConfig, metrics=DEFAULT_METRICS):
+    """Run every seed, then write artifacts (none unless every seed completes)."""
+    results = dict(zip(cfg.seeds, _per_seed(
+        cfg, lambda seed: run_single(cfg, seed, metrics=metrics))))
+    mcfg, policy = cfg.manifold, cfg.clip
+    for seed, res in results.items():
         out = _run_dir(cfg, seed)
         os.makedirs(out, exist_ok=True)
-        mcfg, policy = cfg.manifold, cfg.clip
         for name, model, head in (("old", res.old_model, res.old_head),
                                   ("star", res.star_model, res.star_head),
                                   ("new", res.new_model, res.new_head)):
@@ -399,7 +398,6 @@ def run_scenario(cfg: ExperimentConfig, metrics=DEFAULT_METRICS):
             save_embedding_set(os.path.join(out, f"{name}_gallery.emb"), es)
         write_report(os.path.join(out, "report"), res.reports)
         emit_plots(res, out)
-        results[seed] = res
     return results
 
 
@@ -408,20 +406,22 @@ def run_matrix(cfg: ExperimentConfig, metric="cmc@1"):
 
     One aligned chain serves both: a lambda = 0 update reads the previous model
     only for its generation tag, so the unaligned chain is exactly the aligned
-    chain's star models.
+    chain's star models.  Nothing is written unless every seed completes.
     """
     parse_metric(metric)
-    out_all = {}
-    for seed in cfg.seeds:
+
+    def matrices(seed):
         gens, stars = _chain(cfg, seed, aligned=True)
         star_pairs = _pairs(stars)
-        m_hbct = compatibility_matrix(_pairs(gens), star_pairs, metric)
-        m_base = compatibility_matrix(star_pairs, star_pairs, metric)
+        return (compatibility_matrix(_pairs(gens), star_pairs, metric),
+                compatibility_matrix(star_pairs, star_pairs, metric))
+
+    out_all = dict(zip(cfg.seeds, _per_seed(cfg, matrices)))
+    for seed, (m_hbct, m_base) in out_all.items():
         out = _run_dir(cfg, seed)
         os.makedirs(out, exist_ok=True)
         write_matrix_table(os.path.join(out, "matrix_hbct.txt"), m_hbct)
         write_matrix_table(os.path.join(out, "matrix_baseline.txt"), m_base)
-        out_all[seed] = (m_hbct, m_base)
     return out_all
 
 
@@ -431,8 +431,8 @@ def run_sweep(cfg: ExperimentConfig, lambdas, metric="cmc@1"):
     Each seed trains its old and star models once, shared by every weight.
     """
     variants = {lam: replace(cfg.alignment, lambda_align=lam) for lam in lambdas}
-    per_seed = [run_variants(cfg, seed, variants, metrics=(metric,))
-                for seed in cfg.seeds]
+    per_seed = _per_seed(cfg, lambda seed: run_variants(cfg, seed, variants,
+                                                        metrics=(metric,)))
     rows = []
     for lam in lambdas:
         reps = [res[lam].reports[metric] for res in per_seed]

@@ -93,8 +93,7 @@ class TestTrainOld:
     def test_divergence_reports_step(self):
         rng = np.random.default_rng(3)
         X, y = two_gaussians(rng)
-        tcfg = TrainConfig(epochs=20, batch_size=16, learning_rate=1e150,
-                           cosine_annealing=False, seed=0)
+        tcfg = TrainConfig(epochs=20, batch_size=16, learning_rate=1e150, seed=0)
         with pytest.raises(TrainingFailureError) as exc:
             train_old(X, y, 2, MCFG, POLICY, tcfg, arch=(4,))
         assert exc.value.step >= 0
@@ -127,15 +126,6 @@ class TestTrainNew:
         train_new(X, y, 2, old, AlignmentConfig(), MCFG, POLICY, tcfg, arch=(4,))
         assert all(np.array_equal(W, W0) and np.array_equal(b, b0)
                    for (W, b), (W0, b0) in zip(old.layers, snapshot))
-
-    def test_init_from_old(self):
-        X, y = self._data(2)
-        tcfg = TrainConfig(epochs=1, batch_size=16, seed=0)
-        old, _, _ = train_old(X, y, 2, MCFG, POLICY, tcfg, arch=(4,))
-        new, _, _ = train_new(X, y, 2, old, AlignmentConfig(), MCFG, POLICY, tcfg,
-                              arch=(4,), init_from_old=True)
-        assert new.generation_tag == old.generation_tag + 1
-        assert [W.shape for W, _ in new.layers] == [W.shape for W, _ in old.layers]
 
     def test_aligned_determinism(self):
         X, y = self._data(3)

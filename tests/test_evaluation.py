@@ -334,9 +334,23 @@ class TestBlockedRanking:
             points, queries = (np.column_stack([np.sqrt(1.0 / K + (x ** 2).sum(axis=1)), x])
                                for x in (points, queries))
         gallery = EmbeddingSet(points, np.zeros(20000, dtype=int), geometry, K)
-        block = evaluation._distances(queries, gallery)
+        block = evaluation._distances(queries, gallery, evaluation._gallery_norms(gallery))
         for row, q in zip(block, queries):
             assert row.tobytes() == row_distances(q, gallery).tobytes()
+
+    def test_gallery_norms_taken_once_per_call(self):
+        # at 20000 gallery rows every block holds one query
+        rng = np.random.default_rng(52)
+        gallery = EmbeddingSet(rng.normal(size=(20000, 4)), rng.integers(0, 5, 20000),
+                               "euclidean")
+        queries = EmbeddingSet(rng.normal(size=(6, 4)), rng.integers(0, 5, 6), "euclidean")
+        norms, calls = evaluation._gallery_norms, []
+        with mock.patch.object(evaluation, "_gallery_norms",
+                               lambda g: calls.append(g) or norms(g)):
+            for metric in ("cmc@1", "map"):
+                evaluate_metric(queries, gallery, metric)
+            retrieve(queries.points[0], gallery)
+        assert len(calls) == 3 and all(g is gallery for g in calls)
 
 
 class TestCmc:

@@ -80,6 +80,31 @@ class TestGenerateDataset:
         with pytest.raises(InvalidArgumentError):
             SyntheticDatasetSpec(cluster_spread=0.0)
 
+    @pytest.mark.parametrize("samples_per_class", [3, 7, 10])
+    def test_equals_per_class_draws(self, samples_per_class):
+        # the reference draws one class at a time; one (C, n, D) draw must give
+        # the same bytes (n_hold is 1 for 3 and 7 samples, 2 for 10)
+        spec = replace(self.SPEC, samples_per_class=samples_per_class, seed=5)
+        rng = np.random.default_rng(spec.seed)
+        centers = rng.normal(size=(spec.num_classes, spec.input_dim))
+        centers *= spec.class_center_scale / np.linalg.norm(centers, axis=1, keepdims=True)
+        n_hold = max(1, spec.samples_per_class // 5)
+        tX, tY, qX, qY, gX, gY = [], [], [], [], [], []
+        for c in range(spec.num_classes):
+            samples = centers[c] + spec.cluster_spread * rng.normal(
+                size=(spec.samples_per_class, spec.input_dim))
+            qX.append(samples[:n_hold])
+            gX.append(samples[n_hold:2 * n_hold])
+            tX.append(samples[2 * n_hold:])
+            qY.append(np.full(n_hold, c))
+            gY.append(np.full(n_hold, c))
+            tY.append(np.full(spec.samples_per_class - 2 * n_hold, c))
+        ds = generate_dataset(spec)
+        for name, parts in (("train_X", tX), ("train_y", tY), ("query_X", qX),
+                            ("query_y", qY), ("gallery_X", gX), ("gallery_y", gY)):
+            want, got = np.concatenate(parts), getattr(ds, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
     def test_save_load_round_trip(self, tmp_path):
         ds = generate_dataset(self.SPEC)
         path = tmp_path / "data.npz"
@@ -95,21 +120,34 @@ class TestScenarioSlices:
                                                input_dim=4))
 
     def test_ext_class_restricts_old_labels(self):
-        spec = ScenarioSpec(kind="ext_class", class_fraction=0.5)
-        old_ds, new_ds, _, _ = scenario_slices(self.DS, spec, 0)
+        spec = ScenarioSpec(kind="ext_class", class_fraction=0.5, old_arch=(4,),
+                            new_arch=(8,))
+        old_ds, new_ds, old_arch, new_arch = scenario_slices(self.DS, spec, 0)
         assert set(np.unique(old_ds.train_y)) == {0, 1, 2}
         assert new_ds is self.DS
+        assert (old_arch, new_arch) == ((4,), (4,))
 
     def test_ext_data_subsamples_train(self):
-        spec = ScenarioSpec(kind="ext_data", old_fraction=0.3)
-        old_ds, new_ds, _, _ = scenario_slices(self.DS, spec, 0)
+        spec = ScenarioSpec(kind="ext_data", old_fraction=0.3, old_arch=(4,),
+                            new_arch=(8,))
+        old_ds, new_ds, old_arch, new_arch = scenario_slices(self.DS, spec, 0)
         assert len(old_ds.train_X) == round(0.3 * len(self.DS.train_X))
         # query/gallery splits are untouched
         assert np.array_equal(old_ds.query_X, self.DS.query_X)
+        assert (old_arch, new_arch) == ((4,), (4,))
 
     def test_new_arch_changes_architecture(self):
         spec = ScenarioSpec(kind="new_arch", old_arch=(4,), new_arch=(8,))
-        _, _, old_arch, new_arch = scenario_slices(self.DS, spec, 0)
+        old_ds, _, old_arch, new_arch = scenario_slices(self.DS, spec, 0)
+        assert (old_arch, new_arch) == ((4,), (8,))
+        assert old_ds is self.DS
+
+    def test_both_restricts_classes_and_changes_architecture(self):
+        spec = ScenarioSpec(kind="both", class_fraction=0.5, old_arch=(4,), new_arch=(8,))
+        old_ds, new_ds, old_arch, new_arch = scenario_slices(self.DS, spec, 0)
+        assert set(np.unique(old_ds.train_y)) == {0, 1, 2}
+        assert set(np.unique(old_ds.query_y)) == {0, 1, 2}
+        assert new_ds is self.DS
         assert (old_arch, new_arch) == ((4,), (8,))
 
     def test_sequential_has_no_single_slices(self):
@@ -148,9 +186,10 @@ class TestConfigRoundTrip:
         with pytest.raises(InvalidArgumentError):
             cfgmod.parse("train.epochs\n")
 
-    def test_bad_boolean_rejected(self):
-        with pytest.raises(InvalidArgumentError):
-            cfgmod.parse("train.cosine_annealing = maybe\n")
+    def test_removed_schedule_key_rejected(self):
+        # the learning rate is always cosine-annealed; the old switch is unknown
+        with pytest.raises(InvalidArgumentError, match="cosine_annealing"):
+            cfgmod.parse("train.cosine_annealing = true\n")
 
     def test_file_round_trip(self, tmp_path):
         cfg = tiny_cfg()
@@ -520,15 +559,47 @@ class TestCli:
             seeds=(0, 1, 2))
         with pytest.raises(DegenerateBaselineError):
             run_scenario(cfg)
+        assert not (tmp_path / "runs").exists()  # seed 0 completed, but nothing is written
         assert sorted(run_scenario(cfg, metrics=("map",))) == [0, 1, 2]
         path = str(tmp_path / "exp.cfg")
         cfgmod.save(path, cfg)
         assert main(["scenario", "--config", path]) == 3
-        capsys.readouterr()
+        assert "seed 1, cmc@5: star and old" in capsys.readouterr().err
         assert main(["scenario", "--config", path, "--metrics", "map"]) == 0
         assert capsys.readouterr().out.count("p_com=") == 3
         kv = (tmp_path / "runs" / "seed_2" / "report.kv").read_text()
         assert kv.startswith("map.self = ") and "cmc" not in kv
+
+    @pytest.fixture
+    def second_seed_degenerate(self, monkeypatch):
+        """P_com is undefined for every pairing of the second seed."""
+        import hbct.evaluation as ev
+        import hbct.scenarios as sc
+        seeds, seeded, p_com = [], sc._seeded, ev.p_com
+        monkeypatch.setattr(sc, "_seeded",
+                            lambda cfg, seed: seeds.append(seed) or seeded(cfg, seed))
+
+        def degenerate_on_seed_1(*args):
+            if seeds[-1] == 1:
+                raise DegenerateBaselineError("anchors coincide")
+            return p_com(*args)
+        monkeypatch.setattr(ev, "p_com", degenerate_on_seed_1)
+        return seeds
+
+    @pytest.mark.parametrize("kind,argv", [
+        ("ext_class", ["scenario", "--metrics", "map,cmc@1"]),
+        ("sequential", ["matrix", "--metric", "map"]),
+        ("ext_class", ["sweep", "--metric", "map", "--lambdas", "0.3", "--out", "sweep.txt"])])
+    def test_failing_seed_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                         second_seed_degenerate, kind, argv):
+        monkeypatch.setenv("HBCT_OUTPUT_ROOT", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        cfg_path = self._write_cfg(tmp_path, seeds=(0, 1),
+                                   scenario=ScenarioSpec(kind=kind, n_steps=2))
+        assert main(argv + ["--config", cfg_path]) == 3
+        assert second_seed_degenerate[0] == 0 and second_seed_degenerate[-1] == 1
+        assert not (tmp_path / "runs").exists() and not (tmp_path / "sweep.txt").exists()
+        assert "seed 1, map: anchors coincide" in capsys.readouterr().err
 
     @pytest.mark.parametrize("override", [
         dict(dataset=SyntheticDatasetSpec(num_classes=6, samples_per_class=15, input_dim=4)),
@@ -562,9 +633,7 @@ class TestCli:
 
     def test_divergence_exits_3(self, tmp_path):
         cfg_path = self._write_cfg(
-            tmp_path, train=TrainConfig(epochs=20, batch_size=8,
-                                        learning_rate=1e150,
-                                        cosine_annealing=False))
+            tmp_path, train=TrainConfig(epochs=20, batch_size=8, learning_rate=1e150))
         data = str(tmp_path / "data.npz")
         assert main(["generate", "--config", cfg_path, "--out", data]) == 0
         assert main(["train-old", "--config", cfg_path, "--data", data,
