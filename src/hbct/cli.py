@@ -27,8 +27,13 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 
-def _add_config_arg(p):
+def _command(sub, name, run, help):
+    """A subcommand that reads an experiment config; its parsed arguments
+    carry its handler as ``run``."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(run=run)
     p.add_argument("--config", required=True, help="experiment config file")
+    return p
 
 
 def build_parser():
@@ -36,37 +41,32 @@ def build_parser():
                                 description="Hyperbolic backward-compatible training")
     sub = p.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="generate a synthetic dataset")
-    _add_config_arg(g)
+    g = _command(sub, "generate", _cmd_generate, "generate a synthetic dataset")
     g.add_argument("--out", required=True, help="output .npz path")
 
-    to = sub.add_parser("train-old", help="train the base (old) model")
-    _add_config_arg(to)
+    to = _command(sub, "train-old", _cmd_train, "train the base (old) model")
     to.add_argument("--data", required=True)
     to.add_argument("--out", required=True, help="checkpoint path")
 
-    tn = sub.add_parser("train-new", help="train an aligned new model")
-    _add_config_arg(tn)
+    tn = _command(sub, "train-new", _cmd_train, "train an aligned new model")
     tn.add_argument("--data", required=True)
     tn.add_argument("--old", required=True, help="old model checkpoint")
     tn.add_argument("--out", required=True)
 
     ev = sub.add_parser("evaluate", help="retrieval metric between two stores")
+    ev.set_defaults(run=_cmd_evaluate)
     ev.add_argument("--queries", required=True, help="query embedding store")
     ev.add_argument("--gallery", required=True, help="gallery embedding store")
     ev.add_argument("--metric", default="cmc@1", help="cmc@<k> or map")
 
-    sc = sub.add_parser("scenario", help="end-to-end scenario over all seeds")
-    _add_config_arg(sc)
+    sc = _command(sub, "scenario", _cmd_scenario, "end-to-end scenario over all seeds")
     sc.add_argument("--metrics", default=",".join(DEFAULT_METRICS),
                     help="comma-separated cmc@<k> or map; the first is printed")
 
-    mx = sub.add_parser("matrix", help="sequential-update compatibility matrix")
-    _add_config_arg(mx)
+    mx = _command(sub, "matrix", _cmd_matrix, "sequential-update compatibility matrix")
     mx.add_argument("--metric", default="cmc@1")
 
-    sw = sub.add_parser("sweep", help="alignment-weight sweep")
-    _add_config_arg(sw)
+    sw = _command(sub, "sweep", _cmd_sweep, "alignment-weight sweep")
     sw.add_argument("--lambdas", default="0,0.1,0.3,1.0")
     sw.add_argument("--metric", default="cmc@1")
     sw.add_argument("--out", default=None, help="optional table output path")
@@ -143,21 +143,10 @@ def _cmd_sweep(args):
             f.write(table + "\n")
 
 
-_COMMANDS = {
-    "generate": _cmd_generate,
-    "train-old": _cmd_train,
-    "train-new": _cmd_train,
-    "evaluate": _cmd_evaluate,
-    "scenario": _cmd_scenario,
-    "matrix": _cmd_matrix,
-    "sweep": _cmd_sweep,
-}
-
-
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        _COMMANDS[args.command](args)
+        args.run(args)
     except (InvalidArgumentError, OSError) as e:
         print(f"bad config or input: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -7,12 +7,10 @@ ExperimentConfig.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 from .errors import InvalidArgumentError
 from .scenarios import ExperimentConfig
-
-_SECTIONS = ("manifold", "alignment", "clip", "train", "dataset", "scenario")
 
 
 def _fmt(value):
@@ -35,12 +33,13 @@ def _coerce(key, text, like):
 
 def serialize(cfg: ExperimentConfig) -> str:
     lines = []
-    for section in _SECTIONS:
-        obj = getattr(cfg, section)
-        for name in obj.__dataclass_fields__:
-            lines.append(f"{section}.{name} = {_fmt(getattr(obj, name))}")
-    lines.append(f"output_dir = {cfg.output_dir}")
-    lines.append(f"seeds = {_fmt(cfg.seeds)}")
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if is_dataclass(value):  # a section of ``name.field`` keys
+            lines += [f"{f.name}.{g.name} = {_fmt(getattr(value, g.name))}"
+                      for g in fields(value)]
+        else:
+            lines.append(f"{f.name} = {_fmt(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -57,20 +56,17 @@ def parse(text: str) -> ExperimentConfig:
 
     defaults = ExperimentConfig()
     kwargs = {}
-    for section in _SECTIONS:
-        sec_default = getattr(defaults, section)
-        sec_kwargs = {}
-        for name in sec_default.__dataclass_fields__:
-            key = f"{section}.{name}"
-            if key in values:
-                sec_kwargs[name] = _coerce(key, values.pop(key), getattr(sec_default, name))
-        kwargs[section] = replace(sec_default, **sec_kwargs)
-    output_dir = values.pop("output_dir", defaults.output_dir)
-    seeds = (_coerce("seeds", values.pop("seeds"), defaults.seeds)
-             if "seeds" in values else defaults.seeds)
+    for f in fields(defaults):
+        like = getattr(defaults, f.name)
+        if is_dataclass(like):
+            kwargs[f.name] = replace(like, **{
+                g.name: _coerce(key, values.pop(key), getattr(like, g.name))
+                for g in fields(like) if (key := f"{f.name}.{g.name}") in values})
+        elif f.name in values:
+            kwargs[f.name] = _coerce(f.name, values.pop(f.name), like)
     if values:
         raise InvalidArgumentError(f"unknown config keys: {sorted(values)}")
-    return ExperimentConfig(output_dir=output_dir, seeds=seeds, **kwargs)
+    return replace(defaults, **kwargs)
 
 
 def load(path) -> ExperimentConfig:

@@ -144,6 +144,9 @@ def _train(X, y, num_classes, arch, mcfg, policy, tcfg, align_cfg=None, old_mode
 
     aligned = align_cfg is not None and align_cfg.lambda_align > 0.0
     if aligned:
+        if min(tcfg.batch_size, len(X)) < 2:
+            raise InvalidArgumentError("aligned training needs batches of at least 2 "
+                                       "rows; the contrastive loss pairs rows")
         # old model is frozen: embed the whole training set once, as constants
         _, old_times, old_spaces, old_unc = embed_batch(old_model, X, policy, mcfg)
     zeta = policy.zeta(generation)
@@ -161,7 +164,7 @@ def _train(X, y, num_classes, arch, mcfg, policy, tcfg, align_cfg=None, old_mode
         for start in range(0, len(X), tcfg.batch_size):
             idx = perm[start:start + tcfg.batch_size]
             if aligned and len(idx) < 2:
-                continue  # contrastive loss needs >= 2 pairs
+                continue  # a 1-row tail batch: contrastive loss needs >= 2 pairs
             tape = Tape()
             leaves = [tape.var(a) for a in arrays]
             try:
@@ -185,7 +188,7 @@ def _train(X, y, num_classes, arch, mcfg, policy, tcfg, align_cfg=None, old_mode
                                            step=step)
             losses.append(float(loss.val))
             step += 1
-        epoch_losses.append(float(np.mean(losses)) if losses else float("nan"))
+        epoch_losses.append(float(np.mean(losses)))
     return model, head, epoch_losses
 
 
@@ -211,18 +214,16 @@ _CKPT_HEADER = struct.Struct("<4sIIiddII")
 
 def save_checkpoint(path, model: EncoderModel, head, mcfg: ManifoldConfig,
                     policy: ClipPolicy):
-    head = np.asarray(head, dtype=np.float64)
+    arrays = model.params() + [np.asarray(head, dtype=np.float64)]
     zeta = policy.zeta(model.generation_tag)
     with open(path, "wb") as f:
         f.write(_CKPT_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, KIND_MODEL,
                                   model.generation_tag, mcfg.curvature_K, zeta,
-                                  len(model.layers), head.shape[0]))
+                                  len(model.layers), arrays[-1].shape[0]))
         for W, _ in model.layers:
             f.write(struct.pack("<II", W.shape[1], W.shape[0]))
-        for W, b in model.layers:
-            f.write(W.astype("<f8").tobytes(order="C"))
-            f.write(b.astype("<f8").tobytes())
-        f.write(head.astype("<f8").tobytes(order="C"))
+        for a in arrays:
+            f.write(a.astype("<f8").tobytes())
 
 
 def load_checkpoint(path):
@@ -235,26 +236,25 @@ def load_checkpoint(path):
         _CKPT_HEADER.unpack_from(data)
     if version != CHECKPOINT_VERSION or kind != KIND_MODEL:
         raise InvalidArgumentError(f"unsupported checkpoint version/kind {version}/{kind}")
-    off = _CKPT_HEADER.size
-    if n_layers == 0 or len(data) < off + 8 * n_layers:
+    off = _CKPT_HEADER.size + 8 * n_layers
+    if n_layers == 0 or len(data) < off:
         raise InvalidArgumentError(f"checkpoint layer table of {n_layers} layers is "
                                    f"empty or truncated")
-    dims = [struct.unpack_from("<II", data, off + 8 * i) for i in range(n_layers)]
-    off += 8 * n_layers
+    dims = list(struct.iter_unpack("<II", data[_CKPT_HEADER.size:off]))
     if any(out_d != in_d for (_, out_d), (in_d, _) in zip(dims, dims[1:])):
         raise InvalidArgumentError(f"checkpoint layer shapes {dims} do not chain")
-    d = dims[-1][1]
-    expected = off + 8 * sum(out_d * (in_d + 1) for in_d, out_d in dims) + 8 * n_classes * d
+    # the body is params() order, W0, b0, ..., W_L, b_L, then the head
+    shapes = [s for i, o in dims for s in ((o, i), (o,))] + [(n_classes, dims[-1][1])]
+    sizes = [math.prod(s) for s in shapes]
+    expected = off + 8 * sum(sizes)
     if len(data) != expected:
         raise InvalidArgumentError(f"checkpoint is {len(data)} bytes, its header "
                                    f"implies {expected}")
-    layers = []
-    for in_d, out_d in dims:
-        W = np.frombuffer(data, "<f8", in_d * out_d, off).reshape(out_d, in_d).copy()
-        off += 8 * in_d * out_d
-        b = np.frombuffer(data, "<f8", out_d, off).copy()
-        off += 8 * out_d
-        layers.append((W, b))
-    head = np.frombuffer(data, "<f8", n_classes * d, off).reshape(n_classes, d).copy()
-    model = EncoderModel(layers, generation_tag=generation)
+    body = np.frombuffer(data, "<f8", offset=off).astype(np.float64)
+    if not (np.isfinite(body).all() and 0.0 < K < math.inf and 0.0 < zeta < math.inf):
+        raise InvalidArgumentError(f"checkpoint values must be finite, and curvature_K "
+                                   f"= {K} and zeta = {zeta} > 0")
+    *params, head = [a.reshape(s) for a, s in zip(np.split(body, np.cumsum(sizes)[:-1]),
+                                                  shapes)]
+    model = EncoderModel(zip(params[::2], params[1::2]), generation_tag=generation)
     return model, head, K, zeta

@@ -148,6 +148,20 @@ class TestTrainNew:
         with pytest.raises(InvalidArgumentError, match="old model maps 2 -> 4"):
             train_new(X, y, 2, old, align, ManifoldConfig(1.0, 3), POLICY, tcfg, arch=())
 
+    def test_aligned_batches_need_two_rows(self):
+        # the contrastive term pairs rows, so a batch of one could never align
+        X, y = self._data(5)
+        tcfg = TrainConfig(epochs=1, batch_size=16, seed=0)
+        old, _, _ = train_old(X, y, 2, MCFG, POLICY, tcfg, arch=())
+        for X_, y_, cfg in ((X, y, TrainConfig(epochs=1, batch_size=1)),
+                            (X[:1], y[:1], tcfg)):
+            with pytest.raises(InvalidArgumentError, match="at least 2 rows"):
+                train_new(X_, y_, 2, old, AlignmentConfig(), MCFG, POLICY, cfg)
+        # unaligned training has no pairs to form and still trains
+        _, _, losses = train_new(X[:8], y[:8], 2, old, AlignmentConfig(lambda_align=0.0),
+                                 MCFG, POLICY, TrainConfig(epochs=2, batch_size=1))
+        assert len(losses) == 2 and all(np.isfinite(losses))
+
 
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
@@ -163,6 +177,34 @@ class TestCheckpoint:
         assert K == MCFG.curvature_K
         assert zeta == POLICY.zeta(2)
         assert [W.shape for W, _ in loaded.layers] == [(6, 3), (5, 6), (4, 5)]
+
+    def test_golden_bytes(self, tmp_path):
+        # header, layer table, then W0, b0, ..., W_L, b_L and the head
+        rng = np.random.default_rng(8)
+        model = EncoderModel.init(3, (5,), 4, rng, generation_tag=2)
+        head = rng.normal(size=(2, 4))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, head, MCFG, POLICY)
+        (W0, b0), (W1, b1) = model.layers
+        expected = (struct.pack("<4sIIiddII", b"HBCT", 1, 1, 2, 1.0, POLICY.zeta(2), 2, 2)
+                    + struct.pack("<IIII", 3, 5, 5, 4)
+                    + b"".join(a.astype("<f8").tobytes() for a in (W0, b0, W1, b1, head)))
+        assert path.read_bytes() == expected
+
+    def test_non_finite_values_rejected(self, tmp_path):
+        rng = np.random.default_rng(9)
+        model = EncoderModel.init(3, (), 2, rng, generation_tag=1)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, model, rng.normal(size=(2, 2)), MCFG, POLICY)
+        good = path.read_bytes()
+        # the first weight (after the one-layer table), the last head entry, K, zeta
+        for offset, value in ((48, np.nan), (len(good) - 8, np.inf), (16, 0.0), (16, -1.0),
+                              (16, np.inf), (24, 0.0), (24, np.nan), (24, -0.5)):
+            data = bytearray(good)
+            struct.pack_into("<d", data, offset, value)
+            path.write_bytes(bytes(data))
+            with pytest.raises(InvalidArgumentError):
+                load_checkpoint(path)
 
     def test_wrong_length_rejected(self, tmp_path):
         rng = np.random.default_rng(5)

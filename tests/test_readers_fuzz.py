@@ -90,15 +90,28 @@ def test_store_reader(tmp_path, data):
         assert np.isfinite(es.points).all()
 
 
+def one_unit_checkpoint(K, zeta, *body):
+    """A 1 -> 1 layer and a one-class head: three floats of body."""
+    return (struct.pack("<4sIIiddIIII", b"HBCT", 1, 1, 0, K, zeta, 1, 1, 1, 1)
+            + struct.pack("<3d", *body))
+
+
 @FUZZ
 @given(data=st.one_of(st.binary(max_size=256), checkpoint_files()))
+@example(data=one_unit_checkpoint(1.0, 1.0, float("nan"), 0.0, 0.0))
+@example(data=one_unit_checkpoint(1.0, 1.0, 0.5, 0.0, float("-inf")))
+@example(data=one_unit_checkpoint(float("nan"), 1.0, 0.5, 0.0, 0.0))
+@example(data=one_unit_checkpoint(1.0, 0.0, 0.5, 0.0, 0.0))
+@example(data=struct.pack("<4sIIiddIIII", b"HBCT", 1, 1, 0, 1.0, 1.0, 1, 0, 0, 0))  # no body
 def test_checkpoint_reader(tmp_path, data):
     loaded = _loads_or_refuses(load_checkpoint, tmp_path, data, "fuzz.ckpt")
     if loaded is not None:
-        model, head, _, _ = loaded
+        model, head, K, zeta = loaded
         n_layers, n_classes = struct.unpack_from("<II", data, 32)
         assert len(model.layers) == n_layers
         assert head.shape == (n_classes, model.output_dim)
+        assert all(np.isfinite(a).all() for a in model.params() + [head])
+        assert 0 < K < np.inf and 0 < zeta < np.inf
 
 
 BASE_X, BASE_Y = np.arange(12.0).reshape(4, 3), np.arange(4) % 3

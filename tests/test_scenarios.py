@@ -11,7 +11,7 @@ import pytest
 
 from hbct import config as cfgmod
 from hbct.cli import main
-from hbct.encoder import ClipPolicy, TrainConfig, train_old
+from hbct.encoder import ClipPolicy, TrainConfig, train_new, train_old
 from hbct.errors import DegenerateBaselineError, InvalidArgumentError
 from hbct.evaluation import (EmbeddingSet, cmc_at_k, load_embedding_set,
                              save_embedding_set)
@@ -159,8 +159,11 @@ class TestScenarioSlices:
             ScenarioSpec(kind="bogus")
         with pytest.raises(InvalidArgumentError):
             ScenarioSpec(old_fraction=0.0)
-        with pytest.raises(InvalidArgumentError):
-            ScenarioSpec(kind="sequential", n_steps=1)
+        # hbct matrix chains n_steps generations whatever the kind
+        for kind in ("sequential", "ext_class", "new_arch"):
+            for n_steps in (0, 1, -2):
+                with pytest.raises(InvalidArgumentError, match="n_steps"):
+                    ScenarioSpec(kind=kind, n_steps=n_steps)
 
 
 class TestConfigRoundTrip:
@@ -191,6 +194,45 @@ class TestConfigRoundTrip:
         with pytest.raises(InvalidArgumentError, match="cosine_annealing"):
             cfgmod.parse("train.cosine_annealing = true\n")
 
+    def test_serialize_golden(self):
+        # the key order is the field order: each section, then output_dir and
+        # seeds; an empty arch is written as "= " with its trailing space
+        assert cfgmod.serialize(ExperimentConfig()) == """\
+manifold.curvature_K = 1.0
+manifold.dim_d = 8
+alignment.lambda_align = 0.3
+alignment.lambda_entail = 1.0
+alignment.tau = 0.5
+alignment.beta = 0.01
+alignment.epsilon_aperture = 0.1
+alignment.q_mode = adaptive
+alignment.q_fixed = 0.5
+alignment.distance_kind = geodesic
+alignment.contrast_kind = rince
+clip.zeta_old = 1.0
+clip.zeta_step = 0.2
+train.epochs = 200
+train.batch_size = 64
+train.learning_rate = 0.05
+train.momentum = 0.9
+train.weight_decay = 0.0005
+train.seed = 0
+dataset.num_classes = 20
+dataset.samples_per_class = 60
+dataset.input_dim = 16
+dataset.cluster_spread = 1.0
+dataset.class_center_scale = 3.0
+dataset.seed = 0
+scenario.kind = ext_class
+scenario.old_fraction = 0.3
+scenario.class_fraction = 0.5
+scenario.old_arch = 
+scenario.new_arch = 
+scenario.n_steps = 3
+output_dir = runs
+seeds = 0,1,2,3,4
+"""
+
     def test_file_round_trip(self, tmp_path):
         cfg = tiny_cfg()
         path = tmp_path / "exp.cfg"
@@ -209,6 +251,24 @@ class TestRunSingle:
         assert res.new_model.generation_tag == 1
         unc = res.uncertainties
         assert len(unc["old_gallery"]) == len(unc["gallery_labels"])
+
+    def test_seed_stream_per_generation(self):
+        # generation g trains from train.seed + seed + 101 * g
+        cfg = tiny_cfg(train=TrainConfig(epochs=2, batch_size=8, seed=5))
+        res = run_single(cfg, 1, metrics=("map",))
+        ds = generate_dataset(replace(cfg.dataset, seed=cfg.dataset.seed + 1))
+        old_ds, new_ds, old_arch, new_arch = scenario_slices(ds, cfg.scenario, 1)
+        old, old_head, _ = train_old(old_ds.train_X, old_ds.train_y, ds.num_classes,
+                                     cfg.manifold, cfg.clip, replace(cfg.train, seed=6),
+                                     arch=old_arch)
+        star, star_head, _ = train_new(new_ds.train_X, new_ds.train_y, ds.num_classes, old,
+                                       AlignmentConfig(lambda_align=0.0), cfg.manifold,
+                                       cfg.clip, replace(cfg.train, seed=5 + 1 + 101),
+                                       arch=new_arch)
+        for (a, a_head), (b, b_head) in (((res.old_model, res.old_head), (old, old_head)),
+                                         ((res.star_model, res.star_head), (star, star_head))):
+            assert all(np.array_equal(x, y) for x, y in zip(a.params(), b.params()))
+            assert np.array_equal(a_head, b_head)
 
     def test_degenerate_baseline_raises(self):
         # trivially easy data saturates both anchors at 1.0, so P_com has a
@@ -345,6 +405,15 @@ class TestGenerationCounts:
                     for lam in (0.1, 0.3, 1.0)[:n_variants]}
         run_variants(cfg, 0, variants, metrics=("map",))
         counted(2 + n_variants)
+
+    @pytest.mark.parametrize("lambdas", [(0.0,), (0.0, 0.3), (0.3, 0.0, 1.0)])
+    def test_run_variants_reuses_star_for_lambda_zero(self, counted, lambdas):
+        # a lambda = 0 variant would train exactly the star model again
+        cfg = replace(self.CFG, scenario=ScenarioSpec(kind="ext_class"))
+        res = run_variants(cfg, 0, {lam: AlignmentConfig(lambda_align=lam)
+                                    for lam in lambdas}, metrics=("map",))
+        counted(2 + sum(lam > 0 for lam in lambdas))
+        assert res[0.0].new_model is res[0.0].star_model
 
 
 class TestSweep:
@@ -646,3 +715,47 @@ class TestCli:
         assert main(["sweep", "--config", cfg_path, "--lambdas", "0.1,0.5",
                      "--metric", "map", "--out", str(out)]) == 0
         assert "lambda" in out.read_text()
+
+    @pytest.mark.parametrize("n_steps", [0, 1])
+    def test_matrix_needs_two_steps(self, tmp_path, monkeypatch, capsys, n_steps):
+        # hbct matrix runs the chain on any kind, such as this ext_class config
+        monkeypatch.setenv("HBCT_OUTPUT_ROOT", str(tmp_path))
+        calls = []
+        monkeypatch.setattr("hbct.scenarios.train_old",
+                            lambda *a, **k: calls.append(1) or train_old(*a, **k))
+        path = tmp_path / "exp.cfg"
+        path.write_text(cfgmod.serialize(tiny_cfg()).replace(
+            "scenario.n_steps = 3", f"scenario.n_steps = {n_steps}"))
+        assert main(["matrix", "--config", str(path), "--metric", "map"]) == 2
+        assert calls == [] and not (tmp_path / "runs").exists()
+        err = capsys.readouterr().err
+        assert "n_steps must be >= 2" in err and "Traceback" not in err
+
+    def test_aligned_batch_of_one_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("HBCT_OUTPUT_ROOT", str(tmp_path))
+        cfg_path = self._write_cfg(tmp_path)
+        data, old, new = (str(tmp_path / name) for name in ("data.npz", "old.ckpt",
+                                                            "new.ckpt"))
+        assert main(["generate", "--config", cfg_path, "--out", data]) == 0
+        assert main(["train-old", "--config", cfg_path, "--data", data, "--out", old]) == 0
+        single = str(tmp_path / "single.cfg")
+        cfgmod.save(single, tiny_cfg(train=TrainConfig(epochs=1, batch_size=1)))
+        assert main(["train-new", "--config", single, "--data", data,
+                     "--old", old, "--out", new]) == 2
+        assert not os.path.exists(new)
+        assert main(["scenario", "--config", single, "--metrics", "map"]) == 2
+        assert not (tmp_path / "runs").exists()
+
+    def test_non_finite_old_checkpoint_exits_2(self, tmp_path):
+        cfg_path = self._write_cfg(tmp_path)
+        data, old, new = (str(tmp_path / name) for name in ("data.npz", "old.ckpt",
+                                                            "new.ckpt"))
+        assert main(["generate", "--config", cfg_path, "--out", data]) == 0
+        assert main(["train-old", "--config", cfg_path, "--data", data, "--out", old]) == 0
+        ckpt = bytearray(open(old, "rb").read())
+        struct.pack_into("<d", ckpt, 48, math.nan)  # the first weight, after one layer
+        with open(old, "wb") as f:
+            f.write(ckpt)
+        assert main(["train-new", "--config", cfg_path, "--data", data,
+                     "--old", old, "--out", new]) == 2
+        assert not os.path.exists(new)
