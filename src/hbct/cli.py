@@ -92,8 +92,9 @@ def _cmd_train(args):
         if (K, zeta) != want:
             raise InvalidArgumentError(f"old checkpoint has curvature_K = {K}, "
                                        f"zeta = {zeta}; the config gives {want[0]}, {want[1]}")
+        tcfg = cfg.train.for_generation(old_model.generation_tag + 1)
         model, head, losses = train_new(*data, old_model, cfg.alignment, cfg.manifold,
-                                        cfg.clip, cfg.train, arch=cfg.scenario.new_arch)
+                                        cfg.clip, tcfg, arch=cfg.scenario.new_arch)
     save_checkpoint(args.out, model, head, cfg.manifold, cfg.clip)
     print(f"trained {args.command.removeprefix('train-')} model "
           f"(final epoch loss {losses[-1]:.4f}); wrote {args.out}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,6 +66,11 @@ class TrainConfig:
             raise InvalidArgumentError("momentum/weight_decay must be finite and >= 0")
         if self.seed < 0:
             raise InvalidArgumentError(f"train seed must be >= 0, got {self.seed}")
+
+    def for_generation(self, generation: int) -> TrainConfig:
+        """Generation g trains from ``seed + 101 * g``: with its predecessor's init and
+        batch order an unaligned model would look spuriously compatible on toy data."""
+        return replace(self, seed=self.seed + 101 * generation)
 
 
 class EncoderModel:
@@ -126,6 +131,8 @@ def embed_batch(model: EncoderModel, X, policy: ClipPolicy, mcfg: ManifoldConfig
 
 def _train(X, y, num_classes, arch, mcfg, policy, tcfg, align_cfg=None, old_model=None):
     """Train generation 0 when ``old_model`` is None, else the generation after it."""
+    if align_cfg is None:
+        align_cfg = AlignmentConfig(lambda_align=0.0)
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or len(X) == 0:
@@ -142,7 +149,7 @@ def _train(X, y, num_classes, arch, mcfg, policy, tcfg, align_cfg=None, old_mode
     model = EncoderModel.init(X.shape[1], arch, mcfg.dim_d, rng, generation)
     head = rng.normal(0.0, 0.1, size=(num_classes, mcfg.dim_d))
 
-    aligned = align_cfg is not None and align_cfg.lambda_align > 0.0
+    aligned = align_cfg.lambda_align > 0.0
     if aligned:
         if min(tcfg.batch_size, len(X)) < 2:
             raise InvalidArgumentError("aligned training needs batches of at least 2 "
@@ -150,7 +157,6 @@ def _train(X, y, num_classes, arch, mcfg, policy, tcfg, align_cfg=None, old_mode
         # old model is frozen: embed the whole training set once, as constants
         _, old_times, old_spaces, old_unc = embed_batch(old_model, X, policy, mcfg)
     zeta = policy.zeta(generation)
-    eff_align = align_cfg if aligned else AlignmentConfig(lambda_align=0.0)
 
     arrays = model.params() + [head]
     vel = [np.zeros_like(a) for a in arrays]
@@ -174,7 +180,7 @@ def _train(X, y, num_classes, arch, mcfg, policy, tcfg, align_cfg=None, old_mode
                     loss = total_loss(batch_new, y[idx],
                                       (old_times[idx], old_spaces[idx]) if aligned else None,
                                       old_unc[idx] if aligned else None,
-                                      leaves[-1], eff_align, mcfg)
+                                      leaves[-1], align_cfg, mcfg)
             except NumericalDomainError as e:
                 raise TrainingFailureError(f"loss diverged at step {step}: {e}",
                                            step=step) from e

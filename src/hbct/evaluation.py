@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import struct
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -115,16 +115,10 @@ def retrieve(query, gallery: EmbeddingSet) -> np.ndarray:
     ``query`` is one row in the gallery's coordinates: ambient [time, space...]
     for a Lorentz gallery, a plain vector for a Euclidean one.
     """
-    q = np.asarray(query, dtype=np.float64)
-    if len(gallery) == 0:
-        raise InvalidArgumentError("empty gallery")
-    if q.shape != gallery.points.shape[1:]:
-        raise InvalidArgumentError(
-            f"query shape {q.shape} does not match gallery rows "
-            f"{gallery.points.shape[1:]}")
-    if not np.isfinite(q).all():
-        raise InvalidArgumentError("query must be finite")
-    return np.argsort(_distances(q[None], gallery, _gallery_norms(gallery))[0],
+    q = EmbeddingSet(np.asarray(query, dtype=np.float64)[None], [0], gallery.geometry,
+                     gallery.curvature_K)
+    _check_pairing(q, gallery)
+    return np.argsort(_distances(q.points, gallery, _gallery_norms(gallery))[0],
                       kind="stable")
 
 
@@ -252,14 +246,9 @@ class CompatReport:
             raise
 
     def as_items(self):
-        return [
-            (f"{self.metric}.self", self.self_value),
-            (f"{self.metric}.cross", self.cross_value),
-            (f"{self.metric}.old_self", self.old_self_value),
-            (f"{self.metric}.star_self", self.star_self_value),
-            (f"{self.metric}.p_com", self.p_com),
-            (f"{self.metric}.p_up", self.p_up),
-        ]
+        """(``<metric>.<field>``, value) per value field, ``_value`` dropped."""
+        return [(f"{self.metric}.{f.name.removesuffix('_value')}", getattr(self, f.name))
+                for f in fields(self)[1:]]
 
 
 def parse_metric(metric: str):

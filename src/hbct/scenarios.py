@@ -214,11 +214,7 @@ def _fit(cfg, ds, train_ds, arch, tcfg, prev=None, align=None) -> _Generation:
     gallery splits: an old model when ``prev`` is None, otherwise a new model
     aligned to ``prev.model`` under ``align``."""
     mcfg, policy = cfg.manifold, cfg.clip
-    generation = 0 if prev is None else prev.model.generation_tag + 1
-    # each generation gets its own initialization stream: without this an
-    # unaligned new model would inherit its predecessor's init and look
-    # spuriously compatible on toy data
-    tcfg = replace(tcfg, seed=tcfg.seed + 101 * generation)
+    tcfg = tcfg.for_generation(0 if prev is None else prev.model.generation_tag + 1)
     data = (train_ds.train_X, train_ds.train_y, ds.num_classes)
     if prev is None:
         model, head, _ = train_old(*data, mcfg, policy, tcfg, arch=arch)
@@ -308,14 +304,14 @@ def run_single(cfg: ExperimentConfig, seed: int,
     return run_variants(cfg, seed, {"hbct": cfg.alignment}, metrics=metrics)["hbct"]
 
 
-def _chain(cfg: ExperimentConfig, seed: int, aligned: bool):
+def _chain(cfg: ExperimentConfig, seed: int):
     """A chain of generations and their star anchors, as two lists of records.
 
     Classes are split into n_steps cumulative groups.  When the scenario
     declares a new architecture it takes over from the midpoint of the chain.
-    Every step trains a lambda = 0 star against the previous generation; the
-    aligned chain also trains the HBCT model from the second step on, and
-    otherwise the star is the generation itself.
+    Every step trains a lambda = 0 star against the previous generation, and
+    from the second step on an HBCT model under ``cfg.alignment``, unless its
+    lambda_align is 0: as in run_variants, the star is then the generation.
     """
     spec = cfg.scenario
     ds, tcfg = _seeded(cfg, seed)
@@ -328,7 +324,7 @@ def _chain(cfg: ExperimentConfig, seed: int, aligned: bool):
         prev = gens[-1] if gens else None
         stars.append(_fit(cfg, ds, step_ds, arch, tcfg, prev, star_cfg))
         gens.append(_fit(cfg, ds, step_ds, arch, tcfg, prev, cfg.alignment)
-                    if aligned and prev is not None else stars[-1])
+                    if prev is not None and cfg.alignment.lambda_align > 0 else stars[-1])
     return gens, stars
 
 
@@ -338,8 +334,11 @@ def _pairs(chain):
 
 def sequential_matrix(cfg: ExperimentConfig, seed: int, aligned: bool = True,
                       metric: str = "cmc@1") -> np.ndarray:
+    """One seed's P_com matrix; with ``aligned`` False the chain runs at lambda = 0."""
     parse_metric(metric)
-    gens, stars = _chain(cfg, seed, aligned)
+    if not aligned:
+        cfg = replace(cfg, alignment=replace(cfg.alignment, lambda_align=0.0))
+    gens, stars = _chain(cfg, seed)
     return compatibility_matrix(_pairs(gens), _pairs(stars), metric)
 
 
@@ -401,14 +400,16 @@ def run_scenario(cfg: ExperimentConfig, metrics=DEFAULT_METRICS):
 def run_matrix(cfg: ExperimentConfig, metric="cmc@1"):
     """Sequential-update matrices per seed, for HBCT and the unaligned chain.
 
-    One aligned chain serves both: a lambda = 0 update reads the previous model
-    only for its generation tag, so the unaligned chain is exactly the aligned
-    chain's star models.  Nothing is written unless every seed completes.
+    One chain serves both: a lambda = 0 update reads the previous model only
+    for its generation tag, so the unaligned chain is exactly the chain's star
+    models.  With lambda_align = 0 the HBCT chain is the star chain too, so
+    each seed trains n_steps models and the two matrices are equal.  Nothing
+    is written unless every seed completes.
     """
     parse_metric(metric)
 
     def matrices(seed):
-        gens, stars = _chain(cfg, seed, aligned=True)
+        gens, stars = _chain(cfg, seed)
         star_pairs = _pairs(stars)
         return (compatibility_matrix(_pairs(gens), star_pairs, metric),
                 compatibility_matrix(star_pairs, star_pairs, metric))

@@ -80,7 +80,8 @@ class TestPrimitives:
 
     def test_non_finite_primal_raises(self):
         tape = Tape()
-        with pytest.raises(NumericalDomainError):
+        with pytest.raises(NumericalDomainError), \
+                pytest.warns(RuntimeWarning, match="overflow"):
             ad.exp(tape.var([0.0, 1000.0]))
 
 

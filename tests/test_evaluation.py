@@ -115,6 +115,13 @@ class TestRetrieve:
         q = rng.normal(size=4)
         assert list(retrieve(q, g)) == brute_rank(q, g)
 
+    @pytest.mark.parametrize("query", [np.ones(3), np.ones(5), np.ones((1, 4)), 1.0])
+    def test_query_shape_checked(self, query):
+        # a query is one row of the gallery's width
+        g = lorentz_set(np.random.default_rng(4), 5)
+        with pytest.raises(InvalidArgumentError):
+            retrieve(query, g)
+
     def test_geometry_mismatch(self):
         rng = np.random.default_rng(3)
         le = lorentz_set(rng, 4)
@@ -467,6 +474,14 @@ class TestCompatibilityMetrics:
             / (rep.star_self_value - rep.old_self_value), abs=1e-12)
         assert rep.p_up == pytest.approx(
             (rep.self_value - rep.star_self_value) / rep.star_self_value, abs=1e-12)
+
+
+    def test_report_items(self):
+        # the keys and their order in report.kv
+        rep = CompatReport("map", 0.9, 0.6, 0.5, 0.95, 0.2, -0.05)
+        assert rep.as_items() == [("map.self", 0.9), ("map.cross", 0.6),
+                                  ("map.old_self", 0.5), ("map.star_self", 0.95),
+                                  ("map.p_com", 0.2), ("map.p_up", -0.05)]
 
 
 class TestCompatibilityMatrix:

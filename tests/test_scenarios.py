@@ -11,7 +11,8 @@ import pytest
 
 from hbct import config as cfgmod
 from hbct.cli import main
-from hbct.encoder import ClipPolicy, TrainConfig, train_new, train_old
+from hbct.encoder import (ClipPolicy, TrainConfig, load_checkpoint, train_new,
+                          train_old)
 from hbct.errors import DegenerateBaselineError, InvalidArgumentError
 from hbct.evaluation import (EmbeddingSet, cmc_at_k, load_embedding_set,
                              save_embedding_set)
@@ -388,10 +389,16 @@ class TestGenerationCounts:
             assert all(sum(e is m for e in embedded) == 2 for m in trained)
         return check
 
-    def test_run_matrix(self, counted, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("lam, n_trained", [(0.3, 5), (0.0, 3)])
+    def test_run_matrix(self, counted, tmp_path, monkeypatch, lam, n_trained):
+        # at lambda = 0 each HBCT step would train exactly its star again, so
+        # the star chain serves as both and the two matrices are equal
         monkeypatch.setenv("HBCT_OUTPUT_ROOT", str(tmp_path))
-        run_matrix(self.CFG, metric="map")
-        counted(5)
+        (m_hbct, m_base), = run_matrix(
+            replace(self.CFG, alignment=AlignmentConfig(lambda_align=lam)),
+            metric="map").values()
+        counted(n_trained)
+        assert (m_hbct.tobytes() == m_base.tobytes()) == (lam == 0)
 
     @pytest.mark.parametrize("aligned, n_trained", [(False, 3), (True, 5)])
     def test_sequential_matrix(self, counted, aligned, n_trained):
@@ -477,6 +484,27 @@ class TestCli:
                      "--gallery", str(out / "old_gallery.emb"),
                      "--metric", "map"]) == 0
         assert "map = " in capsys.readouterr().out
+
+    def test_cli_pipeline_matches_library(self, tmp_path):
+        # generate, train-old and train-new follow run_single's data and seed
+        # stream: with every row in the old slice and lambda = 0, the two
+        # checkpoints hold its old and star models bit for bit
+        cfg_path = self._write_cfg(tmp_path, alignment=AlignmentConfig(lambda_align=0.0),
+                                   scenario=ScenarioSpec(kind="ext_data", old_fraction=1.0))
+        paths = {name: str(tmp_path / name) for name in ("data.npz", "old.ckpt", "new.ckpt")}
+        assert main(["generate", "--config", cfg_path, "--out", paths["data.npz"]]) == 0
+        assert main(["train-old", "--config", cfg_path, "--data", paths["data.npz"],
+                     "--out", paths["old.ckpt"]]) == 0
+        assert main(["train-new", "--config", cfg_path, "--data", paths["data.npz"],
+                     "--old", paths["old.ckpt"], "--out", paths["new.ckpt"]]) == 0
+        res = run_single(cfgmod.load(cfg_path), 0, metrics=("map",))
+        for name, model, head in (("old.ckpt", res.old_model, res.old_head),
+                                  ("new.ckpt", res.star_model, res.star_head)):
+            loaded, loaded_head, _, _ = load_checkpoint(paths[name])
+            assert loaded.generation_tag == model.generation_tag
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(loaded.params(), model.params())), name
+            assert np.array_equal(loaded_head, head), name
 
     def test_missing_config_exits_2(self, tmp_path):
         cfg_path = self._write_cfg(tmp_path)
