@@ -16,12 +16,12 @@ import sys
 import numpy as np
 
 from . import config as cfgmod
-from .encoder import load_checkpoint, save_checkpoint, train_new, train_old
+from .encoder import load_checkpoint, save_checkpoint
 from .errors import (DegenerateBaselineError, InvalidArgumentError,
                      NumericalDomainError, TrainingFailureError)
 from .evaluation import evaluate_metric, load_embedding_set
 from .scenarios import (DEFAULT_METRICS, generate_dataset, load_dataset, run_matrix,
-                        run_scenario, run_sweep, save_dataset)
+                        run_scenario, run_sweep, save_dataset, train_generation)
 
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -80,21 +80,17 @@ def _cmd_generate(args):
 
 
 def _cmd_train(args):
+    """Train seed 0's next generation, on its slice of ``--data``, as the library does."""
     cfg = cfgmod.load(args.config)
     ds = load_dataset(args.data)
-    data = (ds.train_X, ds.train_y, ds.num_classes)
-    if args.command == "train-old":
-        model, head, losses = train_old(*data, cfg.manifold, cfg.clip, cfg.train,
-                                        arch=cfg.scenario.old_arch)
-    else:
+    old_model = None
+    if args.command == "train-new":
         old_model, _, K, zeta = load_checkpoint(args.old)
         want = (cfg.manifold.curvature_K, cfg.clip.zeta(old_model.generation_tag))
         if (K, zeta) != want:
             raise InvalidArgumentError(f"old checkpoint has curvature_K = {K}, "
                                        f"zeta = {zeta}; the config gives {want[0]}, {want[1]}")
-        tcfg = cfg.train.for_generation(old_model.generation_tag + 1)
-        model, head, losses = train_new(*data, old_model, cfg.alignment, cfg.manifold,
-                                        cfg.clip, tcfg, arch=cfg.scenario.new_arch)
+    model, head, losses = train_generation(cfg, ds, 0, old_model, cfg.alignment)
     save_checkpoint(args.out, model, head, cfg.manifold, cfg.clip)
     print(f"trained {args.command.removeprefix('train-')} model "
           f"(final epoch loss {losses[-1]:.4f}); wrote {args.out}")

@@ -44,7 +44,7 @@ def serialize(cfg: ExperimentConfig) -> str:
 
 
 def parse(text: str) -> ExperimentConfig:
-    values = {}
+    values, linenos = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -52,7 +52,9 @@ def parse(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise InvalidArgumentError(f"line {lineno}: expected 'key = value'")
         key, val = (s.strip() for s in line.split("=", 1))
-        values[key] = val
+        if key in values:
+            raise InvalidArgumentError(f"lines {linenos[key]} and {lineno} both set {key}")
+        values[key], linenos[key] = val, lineno
 
     defaults = ExperimentConfig()
     kwargs = {}

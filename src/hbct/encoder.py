@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,11 +66,6 @@ class TrainConfig:
             raise InvalidArgumentError("momentum/weight_decay must be finite and >= 0")
         if self.seed < 0:
             raise InvalidArgumentError(f"train seed must be >= 0, got {self.seed}")
-
-    def for_generation(self, generation: int) -> TrainConfig:
-        """Generation g trains from ``seed + 101 * g``: with its predecessor's init and
-        batch order an unaligned model would look spuriously compatible on toy data."""
-        return replace(self, seed=self.seed + 101 * generation)
 
 
 class EncoderModel:

@@ -91,6 +91,8 @@ class ExperimentConfig:
         if not self.seeds or any(s < 0 for s in self.seeds):
             raise InvalidArgumentError(f"seeds must be one or more integers >= 0, "
                                        f"got {self.seeds!r}")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise InvalidArgumentError(f"seeds must not repeat, got {self.seeds!r}")
 
 
 @dataclass
@@ -203,24 +205,53 @@ class _Generation(NamedTuple):
     gallery_unc: np.ndarray
 
 
-def _seeded(cfg: ExperimentConfig, seed: int):
-    """The dataset and the training config of one seed."""
-    return (generate_dataset(replace(cfg.dataset, seed=cfg.dataset.seed + seed)),
-            replace(cfg.train, seed=cfg.train.seed + seed))
+def _seeded(cfg: ExperimentConfig, seed: int) -> Dataset:
+    """The dataset of one seed."""
+    return generate_dataset(replace(cfg.dataset, seed=cfg.dataset.seed + seed))
 
 
-def _fit(cfg, ds, train_ds, arch, tcfg, prev=None, align=None) -> _Generation:
-    """Train one generation on ``train_ds`` and embed ``ds``'s query and
-    gallery splits: an old model when ``prev`` is None, otherwise a new model
-    aligned to ``prev.model`` under ``align``."""
+def generation_slice(ds: Dataset, spec: ScenarioSpec, seed: int, generation: int):
+    """((train X, train y), hidden widths) that ``generation`` trains on in one seed's run.
+
+    A sequential chain splits the classes into n_steps cumulative groups, and
+    new_arch takes over at the chain's midpoint.  Otherwise generation 0 sees
+    the old data (an old_fraction row draw for ext_data, the first
+    class_fraction of the classes for ext_class and both) under old_arch, and
+    every later generation sees all of ``ds``, under new_arch for new_arch and both.
+    """
+    y, keep, late = ds.train_y, slice(None), False
+    if spec.kind == "sequential":
+        keep = y < math.ceil(ds.num_classes / spec.n_steps) * (generation + 1)
+        late = generation >= (spec.n_steps + 1) // 2
+    elif generation > 0:
+        late = spec.kind in ("new_arch", "both")
+    elif spec.kind == "ext_data":
+        keep = np.sort(np.random.default_rng(10_000 + seed).choice(
+            len(y), size=max(1, int(round(spec.old_fraction * len(y)))), replace=False))
+    elif spec.kind in ("ext_class", "both"):
+        keep = y < max(1, int(round(spec.class_fraction * ds.num_classes)))
+    return (ds.train_X[keep], y[keep]), spec.new_arch if late else spec.old_arch
+
+
+def train_generation(cfg: ExperimentConfig, ds: Dataset, seed, old_model=None, align=None):
+    """(model, head, epoch losses) of the generation after ``old_model``, trained on its
+    generation_slice of ``ds``: generation 0 when ``old_model`` is None, otherwise aligned
+    to it under ``align``.  Generation g trains from ``train.seed + seed + 101 * g``: with
+    its predecessor's init and batch order an unaligned model would look spuriously
+    compatible on toy data."""
+    g = 0 if old_model is None else old_model.generation_tag + 1
+    (X, y), arch = generation_slice(ds, cfg.scenario, seed, g)
+    tcfg = replace(cfg.train, seed=cfg.train.seed + seed + 101 * g)
+    if old_model is None:
+        return train_old(X, y, ds.num_classes, cfg.manifold, cfg.clip, tcfg, arch=arch)
+    return train_new(X, y, ds.num_classes, old_model, align, cfg.manifold, cfg.clip,
+                     tcfg, arch=arch)
+
+
+def _fit(cfg, ds, seed, prev=None, align=None) -> _Generation:
+    """Train the generation after model ``prev``; embed ``ds``'s query and gallery."""
     mcfg, policy = cfg.manifold, cfg.clip
-    tcfg = tcfg.for_generation(0 if prev is None else prev.model.generation_tag + 1)
-    data = (train_ds.train_X, train_ds.train_y, ds.num_classes)
-    if prev is None:
-        model, head, _ = train_old(*data, mcfg, policy, tcfg, arch=arch)
-    else:
-        model, head, _ = train_new(*data, prev.model, align, mcfg, policy, tcfg,
-                                   arch=arch)
+    model, head, _ = train_generation(cfg, ds, seed, prev, align)
     queries, _ = _embedding_set(model, head, ds.query_X, ds.query_y, policy, mcfg)
     gallery, unc = _embedding_set(model, head, ds.gallery_X, ds.gallery_y, policy, mcfg)
     return _Generation(model, head, queries, gallery, unc)
@@ -241,24 +272,6 @@ class ScenarioResult:
     galleries: dict  # "old" / "new" -> the gallery EmbeddingSet the reports used
 
 
-def scenario_slices(ds: Dataset, spec: ScenarioSpec, seed: int):
-    """(old dataset slice, new dataset, old arch, new arch) for one run."""
-    if spec.kind == "sequential":
-        raise InvalidArgumentError("a sequential scenario has no single-run slices; "
-                                   "use run_matrix")
-    old_ds = ds
-    if spec.kind == "ext_data":
-        n = len(ds.train_X)
-        keep = np.sort(np.random.default_rng(10_000 + seed).choice(
-            n, size=max(1, int(round(spec.old_fraction * n))), replace=False))
-        old_ds = replace(ds, train_X=ds.train_X[keep], train_y=ds.train_y[keep])
-    elif spec.kind in ("ext_class", "both"):
-        n_old = max(1, int(round(spec.class_fraction * ds.num_classes)))
-        old_ds = ds.restrict_classes(range(n_old))
-    new_arch = spec.new_arch if spec.kind in ("new_arch", "both") else spec.old_arch
-    return old_ds, ds, spec.old_arch, new_arch
-
-
 def run_variants(cfg: ExperimentConfig, seed: int, variants,
                  metrics=DEFAULT_METRICS) -> dict:
     """Train old and star models once, then one aligned model per variant.
@@ -270,19 +283,18 @@ def run_variants(cfg: ExperimentConfig, seed: int, variants,
         raise InvalidArgumentError("no metrics to evaluate")
     for metric in metrics:
         parse_metric(metric)  # a bad name fails before any training
-    ds, tcfg = _seeded(cfg, seed)
-    old_ds, new_ds, old_arch, new_arch = scenario_slices(ds, cfg.scenario, seed)
-    old = _fit(cfg, ds, old_ds, old_arch, tcfg)
-    star = _fit(cfg, ds, new_ds, new_arch, tcfg, old,
-                replace(cfg.alignment, lambda_align=0.0))
+    if cfg.scenario.kind == "sequential":
+        raise InvalidArgumentError("a sequential chain has no single update; use run_matrix")
+    ds = _seeded(cfg, seed)
+    old = _fit(cfg, ds, seed)
+    star = _fit(cfg, ds, seed, old.model, replace(cfg.alignment, lambda_align=0.0))
     old_self = {m: evaluate_metric(old.queries, old.gallery, m) for m in metrics}
     star_self = {m: evaluate_metric(star.queries, star.gallery, m) for m in metrics}
 
     results = {}
-    for name, align_cfg in variants.items():
+    for name, align in variants.items():
         # a lambda = 0 variant trains exactly as the star does
-        new = (_fit(cfg, ds, new_ds, new_arch, tcfg, old, align_cfg)
-               if align_cfg.lambda_align > 0 else star)
+        new = _fit(cfg, ds, seed, old.model, align) if align.lambda_align > 0 else star
         reports = {m: CompatReport.compute(
             m,
             self_value=evaluate_metric(new.queries, new.gallery, m),
@@ -307,23 +319,21 @@ def run_single(cfg: ExperimentConfig, seed: int,
 def _chain(cfg: ExperimentConfig, seed: int):
     """A chain of generations and their star anchors, as two lists of records.
 
-    Classes are split into n_steps cumulative groups.  When the scenario
-    declares a new architecture it takes over from the midpoint of the chain.
-    Every step trains a lambda = 0 star against the previous generation, and
-    from the second step on an HBCT model under ``cfg.alignment``, unless its
-    lambda_align is 0: as in run_variants, the star is then the generation.
+    Whatever the config's kind, the chain takes the sequential kind's
+    generation_slice: n_steps cumulative class groups, with new_arch from the
+    midpoint on.  Every step trains a lambda = 0 star against the previous
+    generation, and from the second step on an HBCT model under
+    ``cfg.alignment``, unless its lambda_align is 0: as in run_variants, the
+    star is then the generation.
     """
-    spec = cfg.scenario
-    ds, tcfg = _seeded(cfg, seed)
-    group = int(math.ceil(ds.num_classes / spec.n_steps))
+    cfg = replace(cfg, scenario=replace(cfg.scenario, kind="sequential"))
+    ds = _seeded(cfg, seed)
     star_cfg = replace(cfg.alignment, lambda_align=0.0)
     gens, stars = [], []
-    for step in range(spec.n_steps):
-        step_ds = ds.restrict_classes(range(min(ds.num_classes, group * (step + 1))))
-        arch = spec.old_arch if step < (spec.n_steps + 1) // 2 else spec.new_arch
-        prev = gens[-1] if gens else None
-        stars.append(_fit(cfg, ds, step_ds, arch, tcfg, prev, star_cfg))
-        gens.append(_fit(cfg, ds, step_ds, arch, tcfg, prev, cfg.alignment)
+    for _ in range(cfg.scenario.n_steps):
+        prev = gens[-1].model if gens else None
+        stars.append(_fit(cfg, ds, seed, prev, star_cfg))
+        gens.append(_fit(cfg, ds, seed, prev, cfg.alignment)
                     if prev is not None and cfg.alignment.lambda_align > 0 else stars[-1])
     return gens, stars
 

@@ -19,9 +19,9 @@ from hbct.evaluation import (EmbeddingSet, cmc_at_k, load_embedding_set,
 from hbct.losses import AlignmentConfig
 from hbct.manifold import ManifoldConfig
 from hbct.scenarios import (Dataset, ExperimentConfig, ScenarioSpec,
-                            SyntheticDatasetSpec, generate_dataset,
-                            load_dataset, run_matrix, run_scenario, run_single,
-                            run_sweep, run_variants, save_dataset, scenario_slices,
+                            SyntheticDatasetSpec, _chain, generate_dataset,
+                            generation_slice, load_dataset, run_matrix, run_scenario,
+                            run_single, run_sweep, run_variants, save_dataset,
                             sequential_matrix, write_histogram_text,
                             write_matrix_table)
 
@@ -120,40 +120,56 @@ class TestScenarioSlices:
     DS = generate_dataset(SyntheticDatasetSpec(num_classes=6, samples_per_class=10,
                                                input_dim=4))
 
+    def slices(self, seed=0, generations=(0, 1), **spec):
+        """generation_slice of each generation, with old_arch (4,) and new_arch (8,)."""
+        spec = ScenarioSpec(old_arch=(4,), new_arch=(8,), **spec)
+        return [generation_slice(self.DS, spec, seed, g) for g in generations]
+
+    def rows_of_classes(self, part, n_classes):
+        """The train rows of the first n_classes classes, in their order in DS."""
+        m = self.DS.train_y < n_classes
+        return (np.array_equal(part[0], self.DS.train_X[m])
+                and np.array_equal(part[1], self.DS.train_y[m]))
+
     def test_ext_class_restricts_old_labels(self):
-        spec = ScenarioSpec(kind="ext_class", class_fraction=0.5, old_arch=(4,),
-                            new_arch=(8,))
-        old_ds, new_ds, old_arch, new_arch = scenario_slices(self.DS, spec, 0)
-        assert set(np.unique(old_ds.train_y)) == {0, 1, 2}
-        assert new_ds is self.DS
+        (old, old_arch), (new, new_arch) = self.slices(kind="ext_class", class_fraction=0.5)
+        assert self.rows_of_classes(old, 3) and self.rows_of_classes(new, 6)
         assert (old_arch, new_arch) == ((4,), (4,))
 
     def test_ext_data_subsamples_train(self):
-        spec = ScenarioSpec(kind="ext_data", old_fraction=0.3, old_arch=(4,),
-                            new_arch=(8,))
-        old_ds, new_ds, old_arch, new_arch = scenario_slices(self.DS, spec, 0)
-        assert len(old_ds.train_X) == round(0.3 * len(self.DS.train_X))
-        # query/gallery splits are untouched
-        assert np.array_equal(old_ds.query_X, self.DS.query_X)
+        (old, old_arch), (new, new_arch) = self.slices(kind="ext_data", old_fraction=0.3)
+        n = len(self.DS.train_X)
+        assert len(old[0]) == len(old[1]) == round(0.3 * n)
+        # a row draw in train order, fixed by the seed
+        rows = {x.tobytes(): i for i, x in enumerate(self.DS.train_X)}
+        picked = [rows[x.tobytes()] for x in old[0]]
+        assert picked == sorted(picked) and np.array_equal(old[1], self.DS.train_y[picked])
+        (other, _), = self.slices(seed=1, generations=(0,), kind="ext_data", old_fraction=0.3)
+        assert not np.array_equal(old[0], other[0])
+        assert self.rows_of_classes(new, 6)
         assert (old_arch, new_arch) == ((4,), (4,))
 
     def test_new_arch_changes_architecture(self):
-        spec = ScenarioSpec(kind="new_arch", old_arch=(4,), new_arch=(8,))
-        old_ds, _, old_arch, new_arch = scenario_slices(self.DS, spec, 0)
+        (old, old_arch), (new, new_arch) = self.slices(kind="new_arch")
         assert (old_arch, new_arch) == ((4,), (8,))
-        assert old_ds is self.DS
+        assert self.rows_of_classes(old, 6) and self.rows_of_classes(new, 6)
 
     def test_both_restricts_classes_and_changes_architecture(self):
-        spec = ScenarioSpec(kind="both", class_fraction=0.5, old_arch=(4,), new_arch=(8,))
-        old_ds, new_ds, old_arch, new_arch = scenario_slices(self.DS, spec, 0)
-        assert set(np.unique(old_ds.train_y)) == {0, 1, 2}
-        assert set(np.unique(old_ds.query_y)) == {0, 1, 2}
-        assert new_ds is self.DS
+        (old, old_arch), (new, new_arch) = self.slices(kind="both", class_fraction=0.5)
+        assert self.rows_of_classes(old, 3) and self.rows_of_classes(new, 6)
         assert (old_arch, new_arch) == ((4,), (8,))
 
-    def test_sequential_has_no_single_slices(self):
-        with pytest.raises(InvalidArgumentError):
-            scenario_slices(self.DS, ScenarioSpec(kind="sequential"), 0)
+    @pytest.mark.parametrize("n_steps, classes, archs", [
+        (2, (3, 6), ((4,), (8,))),
+        (3, (2, 4, 6), ((4,), (4,), (8,))),
+        (4, (2, 4, 6, 6), ((4,), (4,), (8,), (8,)))],
+        ids=["n_steps=2", "n_steps=3", "n_steps=4"])
+    def test_sequential_steps(self, n_steps, classes, archs):
+        # cumulative groups of ceil(6 / n_steps) classes; new_arch from the midpoint on
+        steps = self.slices(generations=range(n_steps), kind="sequential", n_steps=n_steps)
+        assert tuple(arch for _, arch in steps) == archs
+        for (part, _), n_classes in zip(steps, classes):
+            assert self.rows_of_classes(part, n_classes)
 
     def test_spec_validation(self):
         with pytest.raises(InvalidArgumentError):
@@ -185,6 +201,11 @@ class TestConfigRoundTrip:
     def test_unknown_key_rejected(self):
         with pytest.raises(InvalidArgumentError):
             cfgmod.parse("train.warmup = 5\n")
+
+    def test_repeated_key_rejected(self):
+        # the first value must not be dropped in silence: both lines are named
+        with pytest.raises(InvalidArgumentError, match="lines 2 and 4 both set train.epochs"):
+            cfgmod.parse("seeds = 0\ntrain.epochs = 30\n\ntrain.epochs = 3\n")
 
     def test_malformed_line_rejected(self):
         with pytest.raises(InvalidArgumentError):
@@ -254,15 +275,15 @@ class TestRunSingle:
         assert len(unc["old_gallery"]) == len(unc["gallery_labels"])
 
     def test_seed_stream_per_generation(self):
-        # generation g trains from train.seed + seed + 101 * g
+        # generation g trains on its generation_slice from train.seed + seed + 101 * g
         cfg = tiny_cfg(train=TrainConfig(epochs=2, batch_size=8, seed=5))
         res = run_single(cfg, 1, metrics=("map",))
         ds = generate_dataset(replace(cfg.dataset, seed=cfg.dataset.seed + 1))
-        old_ds, new_ds, old_arch, new_arch = scenario_slices(ds, cfg.scenario, 1)
-        old, old_head, _ = train_old(old_ds.train_X, old_ds.train_y, ds.num_classes,
-                                     cfg.manifold, cfg.clip, replace(cfg.train, seed=6),
-                                     arch=old_arch)
-        star, star_head, _ = train_new(new_ds.train_X, new_ds.train_y, ds.num_classes, old,
+        (old_X, old_y), old_arch = generation_slice(ds, cfg.scenario, 1, 0)
+        (new_X, new_y), new_arch = generation_slice(ds, cfg.scenario, 1, 1)
+        old, old_head, _ = train_old(old_X, old_y, ds.num_classes, cfg.manifold, cfg.clip,
+                                     replace(cfg.train, seed=6), arch=old_arch)
+        star, star_head, _ = train_new(new_X, new_y, ds.num_classes, old,
                                        AlignmentConfig(lambda_align=0.0), cfg.manifold,
                                        cfg.clip, replace(cfg.train, seed=5 + 1 + 101),
                                        arch=new_arch)
@@ -352,6 +373,31 @@ class TestSequential:
         m_hbct, m_base = run_matrix(cfg, metric="map")[0]
         assert m_hbct.tobytes() == sequential_matrix(cfg, 0, True, "map").tobytes()
         assert m_base.tobytes() == sequential_matrix(cfg, 0, False, "map").tobytes()
+
+    def test_matrix_chains_any_kind(self, tmp_path, monkeypatch):
+        # hbct matrix on an ext_class config trains the sequential chain: cumulative
+        # class groups, with new_arch from the midpoint on
+        import hbct.scenarios as sc
+        monkeypatch.setenv("HBCT_OUTPUT_ROOT", str(tmp_path))
+        seen = []
+
+        def recording(fn):
+            def run(X, y, *a, arch=()):
+                seen.append((sorted(set(y.tolist())), arch))
+                return fn(X, y, *a, arch=arch)
+            return run
+
+        monkeypatch.setattr(sc, "train_old", recording(sc.train_old))
+        monkeypatch.setattr(sc, "train_new", recording(sc.train_new))
+        cfg_path = str(tmp_path / "exp.cfg")
+        cfgmod.save(cfg_path, tiny_cfg(
+            train=TrainConfig(epochs=1, batch_size=8, learning_rate=0.05),
+            scenario=ScenarioSpec(kind="ext_class", class_fraction=0.5, old_arch=(4,),
+                                  new_arch=(8,), n_steps=3)))
+        assert main(["matrix", "--config", cfg_path, "--metric", "map"]) == 0
+        # per step a star, then from the second step on an HBCT model
+        assert seen == [([0, 1], (4,))] + [([0, 1, 2, 3], (4,))] * 2 + [
+            ([0, 1, 2, 3, 4, 5], (8,))] * 2
 
 
 class TestGenerationCounts:
@@ -485,26 +531,49 @@ class TestCli:
                      "--metric", "map"]) == 0
         assert "map = " in capsys.readouterr().out
 
-    def test_cli_pipeline_matches_library(self, tmp_path):
-        # generate, train-old and train-new follow run_single's data and seed
-        # stream: with every row in the old slice and lambda = 0, the two
-        # checkpoints hold its old and star models bit for bit
-        cfg_path = self._write_cfg(tmp_path, alignment=AlignmentConfig(lambda_align=0.0),
-                                   scenario=ScenarioSpec(kind="ext_data", old_fraction=1.0))
-        paths = {name: str(tmp_path / name) for name in ("data.npz", "old.ckpt", "new.ckpt")}
-        assert main(["generate", "--config", cfg_path, "--out", paths["data.npz"]]) == 0
-        assert main(["train-old", "--config", cfg_path, "--data", paths["data.npz"],
-                     "--out", paths["old.ckpt"]]) == 0
-        assert main(["train-new", "--config", cfg_path, "--data", paths["data.npz"],
-                     "--old", paths["old.ckpt"], "--out", paths["new.ckpt"]]) == 0
-        res = run_single(cfgmod.load(cfg_path), 0, metrics=("map",))
-        for name, model, head in (("old.ckpt", res.old_model, res.old_head),
-                                  ("new.ckpt", res.star_model, res.star_head)):
-            loaded, loaded_head, _, _ = load_checkpoint(paths[name])
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    @pytest.mark.parametrize("kind", ["ext_data", "ext_class", "new_arch", "both",
+                                      "sequential"])
+    def test_cli_pipeline_matches_library(self, tmp_path, kind, lam):
+        # generate, train-old and train-new are seed 0 of the library: the old and
+        # new models of run_single (the star at lambda = 0), or on a sequential
+        # config the generations of its chain, one train-new per step
+        cfg_path = self._write_cfg(
+            tmp_path, alignment=AlignmentConfig(lambda_align=lam),
+            scenario=ScenarioSpec(kind=kind, old_fraction=0.5, class_fraction=0.5,
+                                  old_arch=(8,), new_arch=(12,), n_steps=3))
+        cfg = cfgmod.load(cfg_path)
+        if kind == "sequential":
+            want = [(g.model, g.head) for g in _chain(cfg, 0)[0]]
+        else:
+            res = run_single(cfg, 0, metrics=("map",))
+            want = [(res.old_model, res.old_head), (res.new_model, res.new_head)]
+        data = str(tmp_path / "data.npz")
+        ckpts = [str(tmp_path / f"g{g}.ckpt") for g in range(len(want))]
+        assert main(["generate", "--config", cfg_path, "--out", data]) == 0
+        assert main(["train-old", "--config", cfg_path, "--data", data,
+                     "--out", ckpts[0]]) == 0
+        for old, new in zip(ckpts, ckpts[1:]):
+            assert main(["train-new", "--config", cfg_path, "--data", data,
+                         "--old", old, "--out", new]) == 0
+        for path, (model, head) in zip(ckpts, want):
+            loaded, loaded_head, _, _ = load_checkpoint(path)
             assert loaded.generation_tag == model.generation_tag
+            assert len(loaded.params()) == len(model.params()), path
             assert all(np.array_equal(a, b)
-                       for a, b in zip(loaded.params(), model.params())), name
-            assert np.array_equal(loaded_head, head), name
+                       for a, b in zip(loaded.params(), model.params())), path
+            assert np.array_equal(loaded_head, head), path
+
+    def test_train_old_without_old_rows_exits_2(self, tmp_path):
+        # ext_class trains generation 0 on classes 0-2; this train split holds none
+        cfg_path = self._write_cfg(tmp_path)
+        ds = generate_dataset(tiny_cfg().dataset)
+        late = ds.train_y >= 3
+        data, out = str(tmp_path / "data.npz"), tmp_path / "old.ckpt"
+        save_dataset(data, replace(ds, train_X=ds.train_X[late], train_y=ds.train_y[late]))
+        assert main(["train-old", "--config", cfg_path, "--data", data,
+                     "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_missing_config_exits_2(self, tmp_path):
         cfg_path = self._write_cfg(tmp_path)
@@ -526,7 +595,7 @@ class TestCli:
         path.write_text("train.warmup = 5\n")
         assert main(["scenario", "--config", str(path)]) == 2
 
-    @pytest.mark.parametrize("line", ["train.epochs = abc", "seeds = 0,x",
+    @pytest.mark.parametrize("line", ["train.epochs = abc", "seeds = 0,x", "seeds = 0,0",
                                       "manifold.curvature_K = flat",
                                       "seeds = -1", "seeds = ",
                                       "dataset.seed = -3", "train.seed = -1",
