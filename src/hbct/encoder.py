@@ -168,22 +168,23 @@ def _train(X, y, num_classes, arch, mcfg, policy, tcfg, align_cfg=None, old_mode
                 continue  # a 1-row tail batch: contrastive loss needs >= 2 pairs
             tape = Tape()
             leaves = [tape.var(a) for a in arrays]
-            try:
-                # a non-finite value raises on the tape; numpy need not warn first
-                with np.errstate(all="ignore"):
+            # a non-finite value raises on the tape or in the parameter check below;
+            # numpy need not warn first
+            with np.errstate(all="ignore"):
+                try:
                     _, batch_new = embed_vars(leaves[:-1], X[idx], zeta, mcfg)
                     loss = total_loss(batch_new, y[idx],
                                       (old_times[idx], old_spaces[idx]) if aligned else None,
                                       old_unc[idx] if aligned else None,
                                       leaves[-1], align_cfg, mcfg)
-            except NumericalDomainError as e:
-                raise TrainingFailureError(f"loss diverged at step {step}: {e}",
-                                           step=step) from e
-            for a, g, v in zip(arrays, ad.grad(loss, leaves), vel):
-                g = g + tcfg.weight_decay * a
-                v *= tcfg.momentum
-                v -= lr * g
-                a += v
+                except NumericalDomainError as e:
+                    raise TrainingFailureError(f"loss diverged at step {step}: {e}",
+                                               step=step) from e
+                for a, g, v in zip(arrays, ad.grad(loss, leaves), vel):
+                    g = g + tcfg.weight_decay * a
+                    v *= tcfg.momentum
+                    v -= lr * g
+                    a += v
             if not all(np.all(np.isfinite(a)) for a in arrays):
                 raise TrainingFailureError(f"non-finite parameters at step {step}",
                                            step=step)

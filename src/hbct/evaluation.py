@@ -3,15 +3,17 @@ and sequential-update compatibility matrices.
 
 Lorentz embedding sets are ranked by geodesic distance, Euclidean sets by
 cosine distance; mixing geometries, Lorentz curvatures or row widths between
-query and gallery is an error, and so is a non-finite embedding, an empty set
-or an inner product that overflows float64.  Galleries are scanned exactly (no
-ANN index), a block of queries at a time; ties break toward the lower gallery
-index so rankings are deterministic.  CMC@k and mAP are read off each query's
-ranks of its same-label gallery items, found without sorting gallery indices.
+query and gallery is an error, and so is a non-finite embedding, a Lorentz row
+off the upper sheet of its hyperboloid, an empty set or an inner product that
+overflows float64.  Galleries are scanned exactly (no ANN index), a block of
+queries at a time; ties break toward the lower gallery index so rankings are
+deterministic.  CMC@k and mAP are read off each query's ranks of its
+same-label gallery items, found without sorting gallery indices.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 import warnings
@@ -27,6 +29,9 @@ _GEOMETRIES = ("euclidean", "lorentz")
 # magic, version, geometry index, row count N, row width W, curvature K, generation
 _STORE_HEADER = struct.Struct("<4sIIIIdi")
 _INT32 = np.iinfo(np.int32)
+# relative hyperboloid defect a Lorentz row may carry; embed_batch and expm_origin
+# stay below 1e-15, an off-sheet row is of order 1
+_SHEET_TOL = 1e-9
 
 
 @dataclass
@@ -34,7 +39,7 @@ class EmbeddingSet:
     """Immutable gallery/query embeddings with labels and geometry metadata.
 
     For lorentz geometry, ``points`` rows are ambient coordinates
-    [time, space...]; for euclidean they are plain d-vectors.
+    [time, space...] on the upper sheet; for euclidean they are plain d-vectors.
     """
 
     points: np.ndarray
@@ -59,6 +64,20 @@ class EmbeddingSet:
                                            "coordinate")
         if not np.isfinite(self.points).all():
             raise InvalidArgumentError("embedding points must be finite")
+        if self.geometry == "lorentz":
+            # the upper sheet: x_t > 0 and a relative defect |<x, x>_L + 1/K| / x_t^2
+            # within _SHEET_TOL, in one row-wise pass with no (N, W) temporary; an
+            # overflowing square makes the relative defect NaN, which fails too
+            P, t = self.points, self.points[:, 0]
+            signature = np.r_[-1.0, np.ones(P.shape[1] - 1)]
+            with np.errstate(all="ignore"):
+                defect = np.einsum("ij,ij,j->i", P, P, signature) + 1.0 / self.curvature_K
+                ok = (t > 0) & (np.abs(defect) / (t * t) <= _SHEET_TOL)
+            if not ok.all():
+                i = int(np.argmin(ok))
+                raise InvalidArgumentError(
+                    f"Lorentz row {i} is off the upper sheet of <x, x>_L = -1/K: "
+                    f"time {t[i]:.6g}, defect {defect[i]:.3g}")
 
     def __len__(self):
         return len(self.points)
@@ -288,16 +307,13 @@ def compatibility_matrix(embeddings, star_embeddings, metric: str) -> np.ndarray
     self_vals = [evaluate_metric(q, g, metric) for q, g in embeddings]
     star_vals = [evaluate_metric(q, g, metric) for q, g in star_embeddings]
     out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
+    try:
+        for i, j in itertools.permutations(range(n), 2):
             cross = evaluate_metric(embeddings[i][0], embeddings[j][1], metric)
-            try:
-                out[i, j] = p_com(cross, self_vals[j], star_vals[i])
-            except DegenerateBaselineError as e:
-                e.args = (f"{metric}: {e}",)
-                raise
+            out[i, j] = p_com(cross, self_vals[j], star_vals[i])
+    except DegenerateBaselineError as e:
+        e.args = (f"{metric}: {e}",)
+        raise
     return out
 
 

@@ -218,10 +218,11 @@ def generation_slice(ds: Dataset, spec: ScenarioSpec, seed: int, generation: int
     the old data (an old_fraction row draw for ext_data, the first
     class_fraction of the classes for ext_class and both) under old_arch, and
     every later generation sees all of ``ds``, under new_arch for new_arch and both.
+    A class rule that selects no train row of ``ds`` raises InvalidArgumentError.
     """
-    y, keep, late = ds.train_y, slice(None), False
+    y, keep, late, below = ds.train_y, slice(None), False, None
     if spec.kind == "sequential":
-        keep = y < math.ceil(ds.num_classes / spec.n_steps) * (generation + 1)
+        below = math.ceil(ds.num_classes / spec.n_steps) * (generation + 1)
         late = generation >= (spec.n_steps + 1) // 2
     elif generation > 0:
         late = spec.kind in ("new_arch", "both")
@@ -229,7 +230,13 @@ def generation_slice(ds: Dataset, spec: ScenarioSpec, seed: int, generation: int
         keep = np.sort(np.random.default_rng(10_000 + seed).choice(
             len(y), size=max(1, int(round(spec.old_fraction * len(y)))), replace=False))
     elif spec.kind in ("ext_class", "both"):
-        keep = y < max(1, int(round(spec.class_fraction * ds.num_classes)))
+        below = max(1, int(round(spec.class_fraction * ds.num_classes)))
+    if below is not None:
+        keep = y < below
+        if not keep.any():
+            raise InvalidArgumentError(f"generation {generation} of {spec.kind} trains on "
+                                       f"classes below {below}; the dataset has no such "
+                                       f"train rows")
     return (ds.train_X[keep], y[keep]), spec.new_arch if late else spec.old_arch
 
 
@@ -255,6 +262,14 @@ def _fit(cfg, ds, seed, prev=None, align=None) -> _Generation:
     queries, _ = _embedding_set(model, head, ds.query_X, ds.query_y, policy, mcfg)
     gallery, unc = _embedding_set(model, head, ds.gallery_X, ds.gallery_y, policy, mcfg)
     return _Generation(model, head, queries, gallery, unc)
+
+
+def _update(cfg, ds, seed, prev: _Generation, variants):
+    """(star, {name: generation}) of one update after record ``prev``: the lambda = 0
+    star, then one generation per AlignmentConfig in ``variants`` (at lambda = 0, the star)."""
+    star = _fit(cfg, ds, seed, prev.model, replace(cfg.alignment, lambda_align=0.0))
+    return star, {name: _fit(cfg, ds, seed, prev.model, align)
+                  if align.lambda_align > 0 else star for name, align in variants.items()}
 
 
 @dataclass
@@ -287,14 +302,12 @@ def run_variants(cfg: ExperimentConfig, seed: int, variants,
         raise InvalidArgumentError("a sequential chain has no single update; use run_matrix")
     ds = _seeded(cfg, seed)
     old = _fit(cfg, ds, seed)
-    star = _fit(cfg, ds, seed, old.model, replace(cfg.alignment, lambda_align=0.0))
+    star, news = _update(cfg, ds, seed, old, variants)
     old_self = {m: evaluate_metric(old.queries, old.gallery, m) for m in metrics}
     star_self = {m: evaluate_metric(star.queries, star.gallery, m) for m in metrics}
 
     results = {}
-    for name, align in variants.items():
-        # a lambda = 0 variant trains exactly as the star does
-        new = _fit(cfg, ds, seed, old.model, align) if align.lambda_align > 0 else star
+    for name, new in news.items():
         reports = {m: CompatReport.compute(
             m,
             self_value=evaluate_metric(new.queries, new.gallery, m),
@@ -302,8 +315,7 @@ def run_variants(cfg: ExperimentConfig, seed: int, variants,
             old_self_value=old_self[m],
             star_self_value=star_self[m],
         ) for m in metrics}
-        unc = {"old_gallery": old.gallery_unc, "new_gallery": new.gallery_unc,
-               "gallery_labels": ds.gallery_y}
+        unc = {"old_gallery": old.gallery_unc, "new_gallery": new.gallery_unc}
         results[name] = ScenarioResult(old.model, old.head, star.model, star.head,
                                        new.model, new.head, reports, unc,
                                        {"old": old.gallery, "new": new.gallery})
@@ -321,20 +333,17 @@ def _chain(cfg: ExperimentConfig, seed: int):
 
     Whatever the config's kind, the chain takes the sequential kind's
     generation_slice: n_steps cumulative class groups, with new_arch from the
-    midpoint on.  Every step trains a lambda = 0 star against the previous
-    generation, and from the second step on an HBCT model under
-    ``cfg.alignment``, unless its lambda_align is 0: as in run_variants, the
-    star is then the generation.
+    midpoint on.  Generation 0 is its own star; every later step is one
+    _update under ``cfg.alignment`` after the previous generation.
     """
     cfg = replace(cfg, scenario=replace(cfg.scenario, kind="sequential"))
     ds = _seeded(cfg, seed)
-    star_cfg = replace(cfg.alignment, lambda_align=0.0)
-    gens, stars = [], []
-    for _ in range(cfg.scenario.n_steps):
-        prev = gens[-1].model if gens else None
-        stars.append(_fit(cfg, ds, seed, prev, star_cfg))
-        gens.append(_fit(cfg, ds, seed, prev, cfg.alignment)
-                    if prev is not None and cfg.alignment.lambda_align > 0 else stars[-1])
+    gens = [_fit(cfg, ds, seed)]
+    stars = gens[:]
+    for _ in range(1, cfg.scenario.n_steps):
+        star, new = _update(cfg, ds, seed, gens[-1], {"hbct": cfg.alignment})
+        stars.append(star)
+        gens.append(new["hbct"])
     return gens, stars
 
 
@@ -462,11 +471,20 @@ def write_matrix_table(path, matrix):
         f.write("\n".join(lines) + "\n")
 
 
+def _histograms(named_series, bins):
+    """(name, n, counts, edges) per series, all binned over [min(0, lo), max(1, hi)]
+    for the values' extremes lo and hi: uncertainties lie in [0, 1] only at K = 1."""
+    values = [np.asarray(v, dtype=np.float64) for _, v in named_series]
+    lo = min([0.0] + [v.min() for v in values if len(v)])
+    hi = max([1.0] + [v.max() for v in values if len(v)])
+    return [(name, len(v), *np.histogram(v, bins=bins, range=(lo, hi)))
+            for (name, _), v in zip(named_series, values)]
+
+
 def write_histogram_text(path, named_series, bins=20):
     lines = []
-    for name, values in named_series:
-        counts, edges = np.histogram(values, bins=bins, range=(0.0, 1.0))
-        lines.append(f"# {name} (n={len(values)})")
+    for name, n, counts, edges in _histograms(named_series, bins):
+        lines.append(f"# {name} (n={n})")
         for c, lo, hi in zip(counts, edges[:-1], edges[1:]):
             bar = "#" * c
             lines.append(f"[{lo:5.3f},{hi:5.3f}) {c:4d} {bar}")
@@ -479,11 +497,10 @@ def write_histogram_svg(path, named_series):
     colors = ("#4477aa", "#ee6677", "#228833", "#ccbb44")
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}">']
-    series = [(name, *np.histogram(v, bins=bins, range=(0.0, 1.0)))
-              for name, v in named_series]
-    peak = max((c.max() for _, c, _ in series if len(c)), default=1) or 1
+    series = _histograms(named_series, bins)
+    peak = max((c.max() for _, _, c, _ in series), default=1) or 1
     bw = width / bins
-    for si, (name, counts, _) in enumerate(series):
+    for si, (name, _, counts, _) in enumerate(series):
         color = colors[si % len(colors)]
         for bi, c in enumerate(counts):
             h = (height - 20) * c / peak

@@ -9,7 +9,7 @@ import pytest
 from hbct.encoder import (ClipPolicy, EncoderModel, TrainConfig, embed_batch,
                           load_checkpoint, save_checkpoint, train_new, train_old)
 from hbct.errors import InvalidArgumentError, TrainingFailureError
-from hbct.losses import AlignmentConfig, mlr_logits
+from hbct.losses import AlignmentConfig, mlr_logits, total_loss
 from hbct.manifold import LorentzPoint, ManifoldConfig, on_manifold_defect
 
 MCFG = ManifoldConfig(1.0, 4)
@@ -98,6 +98,15 @@ class TestTrainOld:
             train_old(X, y, 2, MCFG, POLICY, tcfg, arch=(4,))
         assert exc.value.step >= 0
 
+    def test_overflowing_update_reports_step(self):
+        # the SGD update overflows to inf; the parameter check names the step, and
+        # numpy warns nowhere on the way
+        rng = np.random.default_rng(3)
+        X, y = two_gaussians(rng)
+        tcfg = TrainConfig(epochs=2, batch_size=8, learning_rate=1e300, weight_decay=1e10)
+        with pytest.raises(TrainingFailureError, match="non-finite parameters at step 0"):
+            train_old(X, y, 2, MCFG, POLICY, tcfg, arch=(4,))
+
 
 class TestTrainNew:
     def _data(self, seed=0):
@@ -136,6 +145,22 @@ class TestTrainNew:
         assert params_equal(runs[0][0], runs[1][0])
         assert np.array_equal(runs[0][1], runs[1][1])
         assert runs[0][2] == runs[1][2]
+
+    @pytest.mark.parametrize("lam, batch_rows", [(0.3, [8, 8]), (0.0, [8, 8, 1])])
+    def test_one_row_tail_batch(self, monkeypatch, lam, batch_rows):
+        # 17 rows in batches of 8 leave a 1-row tail: aligned training skips it, because
+        # the contrastive loss pairs rows; base-loss training takes it
+        X, y = self._data(4)
+        X, y = X[32:49], y[32:49]
+        tcfg = TrainConfig(epochs=2, batch_size=8, seed=1)
+        old, _, _ = train_old(X, y, 2, MCFG, POLICY, tcfg, arch=())
+        seen = []
+        monkeypatch.setattr("hbct.encoder.total_loss",
+                            lambda *a: seen.append(len(a[1])) or total_loss(*a))
+        _, _, losses = train_new(X, y, 2, old, AlignmentConfig(lambda_align=lam), MCFG,
+                                 POLICY, tcfg, arch=())
+        assert seen == batch_rows * 2
+        assert len(losses) == 2 and all(np.isfinite(losses))
 
     @pytest.mark.parametrize("align", [AlignmentConfig(), AlignmentConfig(lambda_align=0.0)])
     def test_old_model_dims_checked(self, align):

@@ -33,6 +33,12 @@ def lorentz_set(rng, n, labels=None, tag=0):
     return EmbeddingSet.from_lorentz(times, spaces, labels, 1.0, tag)
 
 
+def on_sheet(spaces, K=1.0):
+    """Rows [sqrt(1/K + |s|^2), s] on the upper sheet of curvature K, one per space part s."""
+    spaces = np.asarray(spaces, dtype=np.float64)
+    return np.column_stack([np.sqrt(1.0 / K + (spaces ** 2).sum(axis=1)), spaces])
+
+
 # --------------------------------------------------------------------------
 # Brute-force dual implementations
 
@@ -115,11 +121,13 @@ class TestRetrieve:
         q = rng.normal(size=4)
         assert list(retrieve(q, g)) == brute_rank(q, g)
 
-    @pytest.mark.parametrize("query", [np.ones(3), np.ones(5), np.ones((1, 4)), 1.0])
+    @pytest.mark.parametrize("query", [on_sheet(np.ones((1, 2)))[0],
+                                       on_sheet(np.ones((1, 4)))[0], np.ones((1, 4)), 1.0])
     def test_query_shape_checked(self, query):
-        # a query is one row of the gallery's width
+        # a query is one row of the gallery's width; the 1-d rows are on the sheet,
+        # so that the width check is what refuses them
         g = lorentz_set(np.random.default_rng(4), 5)
-        with pytest.raises(InvalidArgumentError):
+        with pytest.raises(InvalidArgumentError, match="width|2-d"):
             retrieve(query, g)
 
     def test_geometry_mismatch(self):
@@ -157,10 +165,11 @@ class TestFailsClosed:
         rng = np.random.default_rng(43)
         g = lorentz_set(rng, 6)
         q1 = lorentz_set(rng, 4)
-        q2 = EmbeddingSet(q1.points, q1.labels, "lorentz", 2.0)
+        # the same space parts on the K = 2 sheet
+        q2 = EmbeddingSet(on_sheet(q1.points[:, 1:], K=2.0), q1.labels, "lorentz", 2.0)
         assert 0.0 <= cmc_at_k(q1, g, 1) <= 1.0
         for metric in ("cmc@1", "map"):
-            with pytest.raises(InvalidArgumentError):
+            with pytest.raises(InvalidArgumentError, match="curvature mismatch"):
                 evaluate_metric(q2, g, metric)
         # Euclidean sets carry no curvature to compare
         e1 = EmbeddingSet(rng.normal(size=(4, 3)), [0, 1, 0, 1], "euclidean", 1.0)
@@ -203,15 +212,43 @@ class TestFailsClosed:
 
     @pytest.mark.parametrize("geometry", ["lorentz", "euclidean"])
     def test_overflowing_products_rejected(self, geometry):
-        # the Lorentz inner product of the first two rows is +inf, which the
-        # arccosh clamp would turn into a distance of 0; the Euclidean norm overflows
-        pts = np.array([[1, 1e200, 0], [1, 1e200, 0], [1, 0.1, 0], [1, -0.1, 0]])
+        # the Lorentz inner product of the first two rows (on the sheet) is -inf, so
+        # -K<x, y>_L is +inf, which the arccosh clamp would turn into a distance of 0;
+        # the Euclidean norm overflows
+        pts = (on_sheet([[1e154, 0], [-1e154, 0], [0.1, 0], [-0.1, 0]])
+               if geometry == "lorentz" else
+               np.array([[1, 1e200, 0], [1, 1e200, 0], [1, 0.1, 0], [1, -0.1, 0]]))
         g = EmbeddingSet(pts, [0, 1, 0, 1], geometry)
         for metric in ("cmc@1", "map"):
             with pytest.raises(InvalidArgumentError, match="overflow"):
                 evaluate_metric(g, g, metric)
         with pytest.raises(InvalidArgumentError, match="overflow"):
             retrieve(pts[0], g)
+
+    @pytest.mark.parametrize("row", [[0.2, 0, 0.1], [-3, 2, 2]])
+    def test_off_sheet_rows_rejected(self, row, tmp_path):
+        # -K<x, q>_L clamped at 1 ranked either row at distance 0 from the query
+        # [3, 2, 2], ahead of the query's exact copy
+        gallery = EmbeddingSet([[1, 0, 0], [3, 2, 2]], [0, 1])
+        assert list(retrieve([3, 2, 2], gallery)) == [1, 0]
+        with pytest.raises(InvalidArgumentError, match="row 1 is off the upper sheet"):
+            EmbeddingSet([[1, 0, 0], row, [3, 2, 2]], [0, 1, 2])
+        with pytest.raises(InvalidArgumentError, match="upper sheet"):
+            retrieve(row, gallery)
+        # the same rows, read from a store
+        path = tmp_path / "off.emb"
+        path.write_bytes(struct.pack("<4sIIIIdi", b"HBCT", 1, 1, 2, 3, 1.0, 0)
+                         + struct.pack("<3di3di", 3, 2, 2, 0, *row, 1))
+        with pytest.raises(InvalidArgumentError, match="row 1 is off the upper sheet"):
+            load_embedding_set(path)
+
+    @pytest.mark.parametrize("K", [0.1, 1.0, 4.0])
+    def test_embedded_rows_pass_the_sheet_check(self, K):
+        # lifted embeddings stay within round-off of the sheet even at large norms
+        z = np.random.default_rng(47).normal(size=(200, 3)) * np.geomspace(1e-8, 30, 200)[:, None]
+        pts = [expm_origin(row, ManifoldConfig(K, 3)) for row in z]
+        EmbeddingSet.from_lorentz([p.time for p in pts], [p.space for p in pts],
+                                  np.zeros(200, int), K)
 
     @pytest.mark.parametrize("count,width", [(0, 2**28), (1, 2**28), (0, 2**32 - 1)])
     def test_huge_store_width_rejected(self, tmp_path, count, width):
@@ -538,6 +575,8 @@ class TestEmbeddingStore:
     @pytest.mark.parametrize("geometry,width", [("lorentz", 3), ("euclidean", 2)])
     def test_golden_bytes(self, tmp_path, geometry, width):
         points = np.arange(2 * width, dtype=np.float64).reshape(2, width) / 7.0 + 1.0
+        if geometry == "lorentz":  # the same space parts on the K = 0.75 sheet
+            points = on_sheet(points[:, 1:], K=0.75)
         labels = [5, -3]
         es = EmbeddingSet(points, labels, geometry, 0.75, -2)
         expected = b"HBCT" + struct.pack("<IIII", 1, ("euclidean", "lorentz").index(geometry),

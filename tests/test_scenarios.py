@@ -3,7 +3,9 @@ config round-trip, and the CLI exit-code contract."""
 
 import math
 import os
+import re
 import struct
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,13 +19,13 @@ from hbct.errors import DegenerateBaselineError, InvalidArgumentError
 from hbct.evaluation import (EmbeddingSet, cmc_at_k, load_embedding_set,
                              save_embedding_set)
 from hbct.losses import AlignmentConfig
-from hbct.manifold import ManifoldConfig
+from hbct.manifold import ManifoldConfig, hexpm_origin, uncertainty
 from hbct.scenarios import (Dataset, ExperimentConfig, ScenarioSpec,
                             SyntheticDatasetSpec, _chain, generate_dataset,
                             generation_slice, load_dataset, run_matrix, run_scenario,
                             run_single, run_sweep, run_variants, save_dataset,
-                            sequential_matrix, write_histogram_text,
-                            write_matrix_table)
+                            sequential_matrix, write_histogram_svg,
+                            write_histogram_text, write_matrix_table)
 
 
 def tiny_cfg(**overrides):
@@ -272,7 +274,7 @@ class TestRunSingle:
         assert res.star_model.generation_tag == 1
         assert res.new_model.generation_tag == 1
         unc = res.uncertainties
-        assert len(unc["old_gallery"]) == len(unc["gallery_labels"])
+        assert len(unc["old_gallery"]) == len(unc["new_gallery"]) == len(res.galleries["old"])
 
     def test_seed_stream_per_generation(self):
         # generation g trains on its generation_slice from train.seed + seed + 101 * g
@@ -499,6 +501,29 @@ class TestEmission:
                   if line.startswith("[")]
         assert sum(counts) == 57
 
+    def test_histograms_bin_every_value_below_k_one(self, tmp_path):
+        # at K < 1 a large embedding's uncertainty is negative; both files bin every
+        # value of both series over one range
+        mcfg = ManifoldConfig(0.25, 4)
+        rng = np.random.default_rng(3)
+        series = [(name, uncertainty(hexpm_origin(rng.normal(size=(n, 4)) * scale, mcfg),
+                                     mcfg))
+                  for name, n, scale in (("old_gallery", 18, 0.3), ("new_gallery", 11, 3.0))]
+        assert series[1][1].min() < 0
+        write_histogram_text(tmp_path / "h.txt", series)
+        write_histogram_svg(tmp_path / "h.svg", series)
+        blocks = [b.splitlines() for b in (tmp_path / "h.txt").read_text().split("# ")[1:]]
+        counts = [[int(line.split()[1]) for line in b[1:]] for b in blocks]
+        assert [b[0] for b in blocks] == ["old_gallery (n=18)", "new_gallery (n=11)"]
+        assert [sum(c) for c in counts] == [18, 11]
+        # bar heights are 220 px per peak count, one decimal each
+        svg = (tmp_path / "h.svg").read_text()
+        peak = max(max(c) for c in counts)
+        for color, n in (("#4477aa", 18), ("#ee6677", 11)):
+            heights = [float(h) for h in re.findall(rf'height="([0-9.]+)" fill="{color}"', svg)]
+            assert len(heights) == 20
+            assert abs(sum(heights) * peak / 220 - n) < 0.1
+
     def test_matrix_table_format(self, tmp_path):
         path = tmp_path / "m.txt"
         write_matrix_table(path, np.array([[0.0, 0.5], [-0.25, 0.0]]))
@@ -564,7 +589,7 @@ class TestCli:
                        for a, b in zip(loaded.params(), model.params())), path
             assert np.array_equal(loaded_head, head), path
 
-    def test_train_old_without_old_rows_exits_2(self, tmp_path):
+    def test_train_old_without_old_rows_exits_2(self, tmp_path, capsys):
         # ext_class trains generation 0 on classes 0-2; this train split holds none
         cfg_path = self._write_cfg(tmp_path)
         ds = generate_dataset(tiny_cfg().dataset)
@@ -574,6 +599,8 @@ class TestCli:
         assert main(["train-old", "--config", cfg_path, "--data", data,
                      "--out", str(out)]) == 2
         assert not out.exists()
+        assert ("generation 0 of ext_class trains on classes below 3; the dataset has no "
+                "such train rows") in capsys.readouterr().err
 
     def test_missing_config_exits_2(self, tmp_path):
         cfg_path = self._write_cfg(tmp_path)
@@ -655,11 +682,12 @@ class TestCli:
     def test_evaluate_unrankable_inputs_exit_2(self, tmp_path):
         rng = np.random.default_rng(1)
 
-        def store(name, count, width, K=1.0):
+        def store(name, count, width, K=1.0, rows=None):
             # raw bytes, so that sets EmbeddingSet refuses can still be written
             path = tmp_path / name
             spaces = rng.normal(size=(count, max(width - 1, 0)))
-            rows = np.column_stack([np.sqrt(1.0 + (spaces ** 2).sum(axis=1)), spaces])
+            if rows is None:
+                rows = np.column_stack([np.sqrt(1.0 + (spaces ** 2).sum(axis=1)), spaces])
             body = b"".join(struct.pack(f"<{width}di", *row[:width], i % 2)
                             for i, row in enumerate(rows))
             path.write_bytes(struct.pack("<4sIIIIdi", b"HBCT", 1, 1, count, width, K, 0)
@@ -668,9 +696,10 @@ class TestCli:
 
         good = store("d3.emb", 4, 4)
         assert main(["evaluate", "--queries", good, "--gallery", good]) == 0
-        huge = str(tmp_path / "huge.emb")  # inner products overflow float64
-        save_embedding_set(huge, EmbeddingSet([[1, 1e200, 0], [1, 1e200, 0], [1, 0.1, 0],
-                                               [1, -0.1, 0]], [0, 1, 0, 1]))
+        huge = str(tmp_path / "huge.emb")  # on-sheet rows whose inner products overflow
+        save_embedding_set(huge, EmbeddingSet([[math.hypot(1, s), s, 0]
+                                               for s in (1e154, -1e154, 0.1, -0.1)],
+                                              [0, 1, 0, 1]))
         for queries, gallery in [(good, store("d5.emb", 4, 6)),    # 3-d vs 5-d
                                  (store("empty.emb", 0, 4), good),  # no queries
                                  (store("k-1.emb", 4, 4, K=-1.0),) * 2,
@@ -678,7 +707,12 @@ class TestCli:
                                  (store("kinf.emb", 4, 4, K=math.inf),) * 2,
                                  (store("w1.emb", 4, 1),) * 2,
                                  (store("wide.emb", 0, 2**28),) * 2,
-                                 (huge, huge)]:
+                                 (huge, huge),
+                                 # row 1 is off the upper sheet: with -K<x, q>_L clamped at
+                                 # 1, it ranked at distance 0 from the query [3, 2, 2],
+                                 # ahead of the query's exact copy
+                                 *[(store(f"off{i}.emb", 3, 3, rows=[[3, 2, 2], row, [3, 2, 2]]),)
+                                   * 2 for i, row in enumerate([[0.2, 0, 0.1], [-3, 2, 2]])]]:
             for metric in ("cmc@1", "map"):
                 assert main(["evaluate", "--queries", queries, "--gallery", gallery,
                              "--metric", metric]) == 2
@@ -804,6 +838,18 @@ class TestCli:
         assert main(["generate", "--config", cfg_path, "--out", data]) == 0
         assert main(["train-old", "--config", cfg_path, "--data", data,
                      "--out", str(tmp_path / "old.ckpt")]) == 3
+
+    def test_overflowing_update_exits_3_without_warning(self, tmp_path, capsys):
+        cfg_path = self._write_cfg(tmp_path, train=TrainConfig(
+            epochs=2, batch_size=8, learning_rate=1e300, weight_decay=1e10))
+        data = str(tmp_path / "data.npz")
+        assert main(["generate", "--config", cfg_path, "--out", data]) == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["train-old", "--config", cfg_path, "--data", data,
+                         "--out", str(tmp_path / "old.ckpt")]) == 3
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "non-finite parameters at step 0" in capsys.readouterr().err
 
     def test_sweep_writes_table(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HBCT_OUTPUT_ROOT", str(tmp_path))
