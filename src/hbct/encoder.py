@@ -238,6 +238,8 @@ def load_checkpoint(path):
         _CKPT_HEADER.unpack_from(data)
     if version != CHECKPOINT_VERSION or kind != KIND_MODEL:
         raise InvalidArgumentError(f"unsupported checkpoint version/kind {version}/{kind}")
+    if generation < 0:
+        raise InvalidArgumentError(f"checkpoint generation tag {generation} is negative")
     off = _CKPT_HEADER.size + 8 * n_layers
     if n_layers == 0 or len(data) < off:
         raise InvalidArgumentError(f"checkpoint layer table of {n_layers} layers is "

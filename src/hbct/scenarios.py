@@ -110,17 +110,6 @@ class Dataset:
     def num_classes(self):
         return int(self.train_y.max()) + 1
 
-    def restrict_classes(self, classes):
-        classes = np.asarray(sorted(classes))
-
-        def pick(X, y):
-            m = np.isin(y, classes)
-            return X[m], y[m]
-
-        return Dataset(*pick(self.train_X, self.train_y),
-                       *pick(self.query_X, self.query_y),
-                       *pick(self.gallery_X, self.gallery_y))
-
 
 def generate_dataset(spec: SyntheticDatasetSpec) -> Dataset:
     """Gaussian clusters with random class centers; deterministic under seed."""
@@ -141,7 +130,9 @@ def generate_dataset(spec: SyntheticDatasetSpec) -> Dataset:
 
 
 def save_dataset(path, ds: Dataset):
-    np.savez(path, **{f.name: getattr(ds, f.name) for f in fields(Dataset)})
+    # given a file object, np.savez writes exactly there rather than at path + ".npz"
+    with open(path, "wb") as out:
+        np.savez(out, **{f.name: getattr(ds, f.name) for f in fields(Dataset)})
 
 
 def load_dataset(path) -> Dataset:
@@ -188,15 +179,15 @@ def load_dataset(path) -> Dataset:
 # ---------------------------------------------------------------------------
 # Single-seed scenario runs
 
-def _embedding_set(model, head, X, y, policy, mcfg):
+def _embedding_set(model, X, y, policy, mcfg):
     _, times, spaces, unc = embed_batch(model, X, policy, mcfg)
     es = EmbeddingSet.from_lorentz(times, spaces, y, mcfg.curvature_K,
                                    model.generation_tag)
     return es, unc
 
 
-class _Generation(NamedTuple):
-    """One trained model with its query and gallery embeddings."""
+class Generation(NamedTuple):
+    """A trained model and head, its query and gallery embeddings, gallery uncertainties."""
 
     model: EncoderModel
     head: np.ndarray
@@ -255,16 +246,16 @@ def train_generation(cfg: ExperimentConfig, ds: Dataset, seed, old_model=None, a
                      tcfg, arch=arch)
 
 
-def _fit(cfg, ds, seed, prev=None, align=None) -> _Generation:
+def _fit(cfg, ds, seed, prev=None, align=None) -> Generation:
     """Train the generation after model ``prev``; embed ``ds``'s query and gallery."""
     mcfg, policy = cfg.manifold, cfg.clip
     model, head, _ = train_generation(cfg, ds, seed, prev, align)
-    queries, _ = _embedding_set(model, head, ds.query_X, ds.query_y, policy, mcfg)
-    gallery, unc = _embedding_set(model, head, ds.gallery_X, ds.gallery_y, policy, mcfg)
-    return _Generation(model, head, queries, gallery, unc)
+    queries, _ = _embedding_set(model, ds.query_X, ds.query_y, policy, mcfg)
+    gallery, unc = _embedding_set(model, ds.gallery_X, ds.gallery_y, policy, mcfg)
+    return Generation(model, head, queries, gallery, unc)
 
 
-def _update(cfg, ds, seed, prev: _Generation, variants):
+def _update(cfg, ds, seed, prev: Generation, variants):
     """(star, {name: generation}) of one update after record ``prev``: the lambda = 0
     star, then one generation per AlignmentConfig in ``variants`` (at lambda = 0, the star)."""
     star = _fit(cfg, ds, seed, prev.model, replace(cfg.alignment, lambda_align=0.0))
@@ -272,19 +263,13 @@ def _update(cfg, ds, seed, prev: _Generation, variants):
                   if align.lambda_align > 0 else star for name, align in variants.items()}
 
 
-@dataclass
-class ScenarioResult:
-    """Trained generations and their retrieval pairings for one seed."""
+class ScenarioResult(NamedTuple):
+    """One seed's old, star and aligned new generations, and their CompatReport per metric."""
 
-    old_model: EncoderModel
-    old_head: np.ndarray
-    star_model: EncoderModel
-    star_head: np.ndarray
-    new_model: EncoderModel
-    new_head: np.ndarray
+    old: Generation
+    star: Generation
+    new: Generation
     reports: dict
-    uncertainties: dict
-    galleries: dict  # "old" / "new" -> the gallery EmbeddingSet the reports used
 
 
 def run_variants(cfg: ExperimentConfig, seed: int, variants,
@@ -315,10 +300,7 @@ def run_variants(cfg: ExperimentConfig, seed: int, variants,
             old_self_value=old_self[m],
             star_self_value=star_self[m],
         ) for m in metrics}
-        unc = {"old_gallery": old.gallery_unc, "new_gallery": new.gallery_unc}
-        results[name] = ScenarioResult(old.model, old.head, star.model, star.head,
-                                       new.model, new.head, reports, unc,
-                                       {"old": old.gallery, "new": new.gallery})
+        results[name] = ScenarioResult(old, star, new, reports)
     return results
 
 
@@ -351,14 +333,15 @@ def _pairs(chain):
     return [(g.queries, g.gallery) for g in chain]
 
 
-def sequential_matrix(cfg: ExperimentConfig, seed: int, aligned: bool = True,
-                      metric: str = "cmc@1") -> np.ndarray:
-    """One seed's P_com matrix; with ``aligned`` False the chain runs at lambda = 0."""
+def sequential_matrix(cfg: ExperimentConfig, seed: int, metric: str = "cmc@1"):
+    """One seed's (HBCT, unaligned baseline) P_com matrices from one chain: a lambda = 0
+    update reads its predecessor only for the generation tag, so the baseline chain is
+    the chain's stars.  At lambda_align = 0 the two matrices are equal."""
     parse_metric(metric)
-    if not aligned:
-        cfg = replace(cfg, alignment=replace(cfg.alignment, lambda_align=0.0))
     gens, stars = _chain(cfg, seed)
-    return compatibility_matrix(_pairs(gens), _pairs(stars), metric)
+    star_pairs = _pairs(stars)
+    return (compatibility_matrix(_pairs(gens), star_pairs, metric),
+            compatibility_matrix(star_pairs, star_pairs, metric))
 
 
 # ---------------------------------------------------------------------------
@@ -405,35 +388,20 @@ def run_scenario(cfg: ExperimentConfig, metrics=DEFAULT_METRICS):
     for seed, res in results.items():
         out = _run_dir(cfg, seed)
         os.makedirs(out, exist_ok=True)
-        for name, model, head in (("old", res.old_model, res.old_head),
-                                  ("star", res.star_model, res.star_head),
-                                  ("new", res.new_model, res.new_head)):
-            save_checkpoint(os.path.join(out, f"{name}.ckpt"), model, head, mcfg, policy)
-        for name, es in res.galleries.items():
-            save_embedding_set(os.path.join(out, f"{name}_gallery.emb"), es)
+        for name, g in zip(("old", "star", "new"), res):
+            save_checkpoint(os.path.join(out, f"{name}.ckpt"), g.model, g.head, mcfg, policy)
+        save_embedding_set(os.path.join(out, "old_gallery.emb"), res.old.gallery)
+        save_embedding_set(os.path.join(out, "new_gallery.emb"), res.new.gallery)
         write_report(os.path.join(out, "report"), res.reports)
         emit_plots(res, out)
     return results
 
 
 def run_matrix(cfg: ExperimentConfig, metric="cmc@1"):
-    """Sequential-update matrices per seed, for HBCT and the unaligned chain.
-
-    One chain serves both: a lambda = 0 update reads the previous model only
-    for its generation tag, so the unaligned chain is exactly the chain's star
-    models.  With lambda_align = 0 the HBCT chain is the star chain too, so
-    each seed trains n_steps models and the two matrices are equal.  Nothing
-    is written unless every seed completes.
-    """
-    parse_metric(metric)
-
-    def matrices(seed):
-        gens, stars = _chain(cfg, seed)
-        star_pairs = _pairs(stars)
-        return (compatibility_matrix(_pairs(gens), star_pairs, metric),
-                compatibility_matrix(star_pairs, star_pairs, metric))
-
-    out_all = dict(zip(cfg.seeds, _per_seed(cfg, matrices)))
+    """sequential_matrix's (HBCT, baseline) pair per seed, written as two tables
+    (none unless every seed completes)."""
+    out_all = dict(zip(cfg.seeds, _per_seed(
+        cfg, lambda seed: sequential_matrix(cfg, seed, metric))))
     for seed, (m_hbct, m_base) in out_all.items():
         out = _run_dir(cfg, seed)
         os.makedirs(out, exist_ok=True)
@@ -517,7 +485,7 @@ def write_histogram_svg(path, named_series):
 
 def emit_plots(result, out_dir):
     """Uncertainty histograms (text + SVG) for one scenario result."""
-    series = [("old_gallery", result.uncertainties["old_gallery"]),
-              ("new_gallery", result.uncertainties["new_gallery"])]
+    series = [("old_gallery", result.old.gallery_unc),
+              ("new_gallery", result.new.gallery_unc)]
     write_histogram_text(os.path.join(out_dir, "uncertainty_hist.txt"), series)
     write_histogram_svg(os.path.join(out_dir, "uncertainty_hist.svg"), series)

@@ -24,8 +24,8 @@ from hbct.losses import (AlignmentConfig, base_loss, contrastive_loss,
 from hbct.manifold import (ManifoldConfig, expm_origin, geodesic_distance,
                            logm_origin, on_manifold_defect, uncertainty)
 from hbct.scenarios import (ExperimentConfig, ScenarioSpec, SyntheticDatasetSpec,
-                            _embedding_set, generate_dataset, run_single,
-                            run_variants, sequential_matrix)
+                            _embedding_set, generate_dataset, generation_slice,
+                            run_single, run_variants, sequential_matrix)
 
 MCFG = ManifoldConfig(1.0, 3)
 
@@ -326,12 +326,7 @@ def test_criterion_06_ext_class_experiment(capsys):
         pcoms.append(rep.p_com)
         pups.append(rep.p_up)
         # the lambda = 0 baseline's own cross-retrieval against the old gallery
-        ds = generate_dataset(replace(CFG6.dataset, seed=CFG6.dataset.seed + seed))
-        old_g, _ = _embedding_set(res.old_model, res.old_head, ds.gallery_X,
-                                  ds.gallery_y, CFG6.clip, CFG6.manifold)
-        star_q, _ = _embedding_set(res.star_model, res.star_head, ds.query_X,
-                                   ds.query_y, CFG6.clip, CFG6.manifold)
-        cross_star = evaluate_metric(star_q, old_g, "cmc@1")
+        cross_star = evaluate_metric(res.star.queries, res.old.gallery, "cmc@1")
         base_pcoms.append(p_com(cross_star, rep.old_self_value, rep.star_self_value))
     med_pcom = float(np.median(pcoms))
     med_base = float(np.median(base_pcoms))
@@ -405,8 +400,7 @@ def test_criterion_08_sequential_matrix(capsys):
     hbct_means, base_means = [], []
     all_finite = True
     for seed in CFG8.seeds:
-        m_hbct = sequential_matrix(CFG8, seed, aligned=True, metric="cmc@1")
-        m_base = sequential_matrix(CFG8, seed, aligned=False, metric="cmc@1")
+        m_hbct, m_base = sequential_matrix(CFG8, seed, metric="cmc@1")
         all_finite &= bool(np.all(np.isfinite(m_hbct)) and np.all(np.isfinite(m_base)))
         hbct_means.append(float(np.mean(m_hbct[sub])))
         base_means.append(float(np.mean(m_base[sub])))
@@ -434,13 +428,12 @@ def test_criterion_09_uncertainty_split(capsys):
     gaps = []
     for seed in range(5):
         ds = generate_dataset(replace(spec, seed=seed))
-        old_ds = ds.restrict_classes(range(10))
+        (old_X, old_y), _ = generation_slice(
+            ds, ScenarioSpec(kind="ext_class", class_fraction=0.5), seed, 0)
         tcfg = TrainConfig(epochs=30, batch_size=16, learning_rate=0.05,
                            weight_decay=2e-2, seed=seed)
-        model, head, _ = train_old(old_ds.train_X, old_ds.train_y, 20, mcfg,
-                                   policy, tcfg, arch=(16,))
-        _, unc = _embedding_set(model, head, ds.gallery_X, ds.gallery_y,
-                                policy, mcfg)
+        model, _, _ = train_old(old_X, old_y, 20, mcfg, policy, tcfg, arch=(16,))
+        _, unc = _embedding_set(model, ds.gallery_X, ds.gallery_y, policy, mcfg)
         seen = ds.gallery_y < 10
         gaps.append(float(np.median(unc[~seen]) - np.median(unc[seen])))
     n_pos = sum(g > 0 for g in gaps)

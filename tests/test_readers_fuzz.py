@@ -90,9 +90,9 @@ def test_store_reader(tmp_path, data):
         assert np.isfinite(es.points).all()
 
 
-def one_unit_checkpoint(K, zeta, *body):
+def one_unit_checkpoint(K, zeta, *body, generation=0):
     """A 1 -> 1 layer and a one-class head: three floats of body."""
-    return (struct.pack("<4sIIiddIIII", b"HBCT", 1, 1, 0, K, zeta, 1, 1, 1, 1)
+    return (struct.pack("<4sIIiddIIII", b"HBCT", 1, 1, generation, K, zeta, 1, 1, 1, 1)
             + struct.pack("<3d", *body))
 
 
@@ -102,6 +102,7 @@ def one_unit_checkpoint(K, zeta, *body):
 @example(data=one_unit_checkpoint(1.0, 1.0, 0.5, 0.0, float("-inf")))
 @example(data=one_unit_checkpoint(float("nan"), 1.0, 0.5, 0.0, 0.0))
 @example(data=one_unit_checkpoint(1.0, 0.0, 0.5, 0.0, 0.0))
+@example(data=one_unit_checkpoint(1.0, 0.8, 0.5, 0.0, 0.0, generation=-1))
 @example(data=struct.pack("<4sIIiddIIII", b"HBCT", 1, 1, 0, 1.0, 1.0, 1, 0, 0, 0))  # no body
 def test_checkpoint_reader(tmp_path, data):
     loaded = _loads_or_refuses(load_checkpoint, tmp_path, data, "fuzz.ckpt")
@@ -112,6 +113,7 @@ def test_checkpoint_reader(tmp_path, data):
         assert head.shape == (n_classes, model.output_dim)
         assert all(np.isfinite(a).all() for a in model.params() + [head])
         assert 0 < K < np.inf and 0 < zeta < np.inf
+        assert model.generation_tag >= 0
 
 
 BASE_X, BASE_Y = np.arange(12.0).reshape(4, 3), np.arange(4) % 3

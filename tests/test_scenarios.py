@@ -270,11 +270,10 @@ class TestRunSingle:
         res = run_single(cfg, 0, metrics=("map",))
         rep = res.reports["map"]
         assert math.isfinite(rep.p_com) and math.isfinite(rep.p_up)
-        assert res.old_model.generation_tag == 0
-        assert res.star_model.generation_tag == 1
-        assert res.new_model.generation_tag == 1
-        unc = res.uncertainties
-        assert len(unc["old_gallery"]) == len(unc["new_gallery"]) == len(res.galleries["old"])
+        assert res.old.model.generation_tag == 0
+        assert res.star.model.generation_tag == 1
+        assert res.new.model.generation_tag == 1
+        assert len(res.old.gallery_unc) == len(res.new.gallery_unc) == len(res.old.gallery)
 
     def test_seed_stream_per_generation(self):
         # generation g trains on its generation_slice from train.seed + seed + 101 * g
@@ -289,10 +288,9 @@ class TestRunSingle:
                                        AlignmentConfig(lambda_align=0.0), cfg.manifold,
                                        cfg.clip, replace(cfg.train, seed=5 + 1 + 101),
                                        arch=new_arch)
-        for (a, a_head), (b, b_head) in (((res.old_model, res.old_head), (old, old_head)),
-                                         ((res.star_model, res.star_head), (star, star_head))):
-            assert all(np.array_equal(x, y) for x, y in zip(a.params(), b.params()))
-            assert np.array_equal(a_head, b_head)
+        for g, (b, b_head) in ((res.old, (old, old_head)), (res.star, (star, star_head))):
+            assert all(np.array_equal(x, y) for x, y in zip(g.model.params(), b.params()))
+            assert np.array_equal(g.head, b_head)
 
     def test_degenerate_baseline_raises(self):
         # trivially easy data saturates both anchors at 1.0, so P_com has a
@@ -327,6 +325,17 @@ class TestRunScenarioArtifacts:
         # embedding stores round-trip with the right generation tags
         assert load_embedding_set(out / "old_gallery.emb").generation_tag == 0
         assert load_embedding_set(out / "new_gallery.emb").generation_tag == 1
+        # each checkpoint reloads to its record; star and new are both generation 1,
+        # so only their params tell them apart
+        res = results[0]
+        assert not np.array_equal(res.star.head, res.new.head)
+        for name, g in (("old", res.old), ("star", res.star), ("new", res.new)):
+            model, head, _, _ = load_checkpoint(out / f"{name}.ckpt")
+            assert model.generation_tag == g.model.generation_tag
+            assert len(model.params()) == len(g.model.params()), name
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(model.params(), g.model.params())), name
+            assert np.array_equal(head, g.head), name
 
     def test_sequential_kind_rejected(self):
         cfg = tiny_cfg(scenario=ScenarioSpec(kind="sequential", n_steps=2))
@@ -354,10 +363,10 @@ class TestSequential:
         )
 
     def test_matrix_shape_and_diagonal(self):
-        m = sequential_matrix(self._cfg(), 0, aligned=True, metric="map")
-        assert m.shape == (2, 2)
-        assert m[0, 0] == 0.0 and m[1, 1] == 0.0
-        assert np.all(np.isfinite(m))
+        for m in sequential_matrix(self._cfg(), 0, metric="map"):
+            assert m.shape == (2, 2)
+            assert m[0, 0] == 0.0 and m[1, 1] == 0.0
+            assert np.all(np.isfinite(m))
 
     def test_run_matrix_writes_tables(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HBCT_OUTPUT_ROOT", str(tmp_path))
@@ -373,8 +382,9 @@ class TestSequential:
         monkeypatch.setenv("HBCT_OUTPUT_ROOT", str(tmp_path))
         cfg = self._cfg()
         m_hbct, m_base = run_matrix(cfg, metric="map")[0]
-        assert m_hbct.tobytes() == sequential_matrix(cfg, 0, True, "map").tobytes()
-        assert m_base.tobytes() == sequential_matrix(cfg, 0, False, "map").tobytes()
+        unaligned = replace(cfg, alignment=replace(cfg.alignment, lambda_align=0.0))
+        assert m_base.tobytes() == sequential_matrix(unaligned, 0, "map")[0].tobytes()
+        assert m_hbct.tobytes() != m_base.tobytes()
 
     def test_matrix_chains_any_kind(self, tmp_path, monkeypatch):
         # hbct matrix on an ext_class config trains the sequential chain: cumulative
@@ -448,11 +458,6 @@ class TestGenerationCounts:
         counted(n_trained)
         assert (m_hbct.tobytes() == m_base.tobytes()) == (lam == 0)
 
-    @pytest.mark.parametrize("aligned, n_trained", [(False, 3), (True, 5)])
-    def test_sequential_matrix(self, counted, aligned, n_trained):
-        sequential_matrix(self.CFG, 0, aligned=aligned, metric="map")
-        counted(n_trained)
-
     @pytest.mark.parametrize("n_variants", [1, 3])
     def test_run_variants(self, counted, n_variants):
         cfg = replace(self.CFG, scenario=ScenarioSpec(kind="ext_class"))
@@ -468,7 +473,7 @@ class TestGenerationCounts:
         res = run_variants(cfg, 0, {lam: AlignmentConfig(lambda_align=lam)
                                     for lam in lambdas}, metrics=("map",))
         counted(2 + sum(lam > 0 for lam in lambdas))
-        assert res[0.0].new_model is res[0.0].star_model
+        assert res[0.0].new is res[0.0].star
 
 
 class TestSweep:
@@ -572,7 +577,7 @@ class TestCli:
             want = [(g.model, g.head) for g in _chain(cfg, 0)[0]]
         else:
             res = run_single(cfg, 0, metrics=("map",))
-            want = [(res.old_model, res.old_head), (res.new_model, res.new_head)]
+            want = [(res.old.model, res.old.head), (res.new.model, res.new.head)]
         data = str(tmp_path / "data.npz")
         ckpts = [str(tmp_path / f"g{g}.ckpt") for g in range(len(want))]
         assert main(["generate", "--config", cfg_path, "--out", data]) == 0
@@ -588,6 +593,16 @@ class TestCli:
             assert all(np.array_equal(a, b)
                        for a, b in zip(loaded.params(), model.params())), path
             assert np.array_equal(loaded_head, head), path
+
+    def test_generate_writes_exactly_at_out(self, tmp_path, capsys):
+        # np.savez given a path would append ".npz" to one without that suffix
+        cfg_path = self._write_cfg(tmp_path)
+        data = str(tmp_path / "data.bin")
+        assert main(["generate", "--config", cfg_path, "--out", data]) == 0
+        assert f"wrote dataset to {data}" in capsys.readouterr().out
+        assert main(["train-old", "--config", cfg_path, "--data", data,
+                     "--out", str(tmp_path / "old.ckpt")]) == 0
+        assert not os.path.exists(data + ".npz")
 
     def test_train_old_without_old_rows_exits_2(self, tmp_path, capsys):
         # ext_class trains generation 0 on classes 0-2; this train split holds none
@@ -902,3 +917,21 @@ class TestCli:
         assert main(["train-new", "--config", cfg_path, "--data", data,
                      "--old", old, "--out", new]) == 2
         assert not os.path.exists(new)
+
+    def test_negative_generation_checkpoint_exits_2(self, tmp_path, capsys):
+        # a generation -1 checkpoint with the config's zeta(-1) would otherwise train
+        # an aligned "generation 0" model on the old slice
+        cfg_path = self._write_cfg(tmp_path)
+        data, old, new = (str(tmp_path / name) for name in ("data.npz", "old.ckpt",
+                                                            "new.ckpt"))
+        assert main(["generate", "--config", cfg_path, "--out", data]) == 0
+        assert main(["train-old", "--config", cfg_path, "--data", data, "--out", old]) == 0
+        ckpt = bytearray(open(old, "rb").read())
+        struct.pack_into("<i", ckpt, 12, -1)  # the generation tag, then zeta after K
+        struct.pack_into("<d", ckpt, 24, tiny_cfg().clip.zeta(-1))
+        with open(old, "wb") as f:
+            f.write(ckpt)
+        assert main(["train-new", "--config", cfg_path, "--data", data,
+                     "--old", old, "--out", new]) == 2
+        assert not os.path.exists(new)
+        assert "checkpoint generation tag -1 is negative" in capsys.readouterr().err
