@@ -458,6 +458,15 @@ class TestGenerationCounts:
         counted(n_trained)
         assert (m_hbct.tobytes() == m_base.tobytes()) == (lam == 0)
 
+    @pytest.mark.parametrize("aligned, n_trained", [(False, 3), (True, 5)])
+    def test_sequential_matrix(self, counted, aligned, n_trained):
+        # one chain yields both matrices: its stars, plus an aligned model per
+        # update unless lambda = 0 lets the stars stand in for them
+        lam = 0.3 if aligned else 0.0
+        sequential_matrix(replace(self.CFG, alignment=AlignmentConfig(lambda_align=lam)),
+                          0, metric="map")
+        counted(n_trained)
+
     @pytest.mark.parametrize("n_variants", [1, 3])
     def test_run_variants(self, counted, n_variants):
         cfg = replace(self.CFG, scenario=ScenarioSpec(kind="ext_class"))
