@@ -55,6 +55,9 @@ class EmbeddingSet:
             raise InvalidArgumentError(f"unknown geometry {self.geometry!r}")
         if self.points.ndim != 2 or len(self.points) != len(self.labels):
             raise InvalidArgumentError("points must be a 2-d array, one row per label")
+        if not 0 <= self.generation_tag <= _INT32.max:
+            raise InvalidArgumentError(f"generation tag must be in [0, 2**31), "
+                                       f"got {self.generation_tag}")
         if self.geometry == "lorentz":
             if not 0.0 < self.curvature_K < math.inf:
                 raise InvalidArgumentError(f"Lorentz curvature_K must be finite and "

@@ -46,7 +46,6 @@ class AlignmentConfig:
     epsilon_aperture: float = 0.1
     q_mode: str = "adaptive"
     q_fixed: float = 0.5
-    distance_kind: str = "geodesic"
     contrast_kind: str = "rince"
 
     def __post_init__(self):
@@ -63,20 +62,8 @@ class AlignmentConfig:
             raise InvalidArgumentError(f"unknown q_mode {self.q_mode!r}")
         if self.q_mode == "fixed" and not (0 < self.q_fixed <= 1):
             raise InvalidArgumentError(f"fixed q must be in (0, 1], got {self.q_fixed}")
-        if self.distance_kind not in ("geodesic", "lorentz_inner", "squared_lorentz"):
-            raise InvalidArgumentError(f"unknown distance_kind {self.distance_kind!r}")
         if self.contrast_kind not in ("rince", "infonce", "mean_distortion"):
             raise InvalidArgumentError(f"unknown contrast_kind {self.contrast_kind!r}")
-
-
-def pair_distance(x, y, cfg: AlignmentConfig, mcfg: ManifoldConfig):
-    """The alignment distance D per cfg.distance_kind, broadcast over the batch."""
-    if cfg.distance_kind == "geodesic":
-        return hdist(x, y, mcfg)
-    if cfg.distance_kind == "lorentz_inner":
-        return -hinner(x, y)
-    # squared Lorentz distance ||x - y||_L^2 = -2/K - 2<x, y>_L
-    return -2.0 / mcfg.curvature_K - 2.0 * hinner(x, y)
 
 
 # ---------------------------------------------------------------------------
@@ -171,11 +158,10 @@ def _aligned(batch_new, batch_old, min_size):
     return new, old
 
 
-def _distance_matrix(new, old, cfg, mcfg):
-    """D[i, j] = D(new_i, old_j) over the whole batch."""
+def _distance_matrix(new, old, mcfg):
+    """D[i, j] = d(new_i, old_j), the geodesic distance, over the whole batch."""
     (n_times, n_spaces), (o_times, o_spaces) = new, old
-    return pair_distance((n_times[:, None], n_spaces[:, None, :]), (o_times, o_spaces),
-                         cfg, mcfg)
+    return hdist((n_times[:, None], n_spaces[:, None, :]), (o_times, o_spaces), mcfg)
 
 
 def _diagonal(D):
@@ -189,7 +175,8 @@ def contrastive_loss(batch_new, batch_old, uncertainties_old, cfg: AlignmentConf
 
     Per pair i:  -(1/q_i) exp(-q_i D_ii / tau)
                  + (1/q_i) (beta * sum_j exp(-D_ij / tau))^{q_i},
-    where the negative sum runs over the whole batch including j == i.
+    where D_ij is the geodesic distance d(new_i, old_j) and the negative sum
+    runs over the whole batch including j == i.
     In adaptive mode q_i is the old embedding's uncertainty clamped to
     [Q_CLAMP_LO, 1]; in fixed mode it is cfg.q_fixed.
     """
@@ -201,24 +188,24 @@ def contrastive_loss(batch_new, batch_old, uncertainties_old, cfg: AlignmentConf
         q = np.clip(np.asarray(uncertainties_old, dtype=np.float64), Q_CLAMP_LO, 1.0)
     else:
         q = np.full(n, cfg.q_fixed)
-    D = _distance_matrix(new, old, cfg, mcfg)
+    D = _distance_matrix(new, old, mcfg)
     pos = ad.exp(_diagonal(D) * (-q / cfg.tau))
     neg = ad.sum(ad.exp(D * (-1.0 / cfg.tau)), -1)
     return ad.mean(-pos / q + ad.powr(neg * cfg.beta, q) / q)
 
 
 def infonce_loss(batch_new, batch_old, cfg: AlignmentConfig, mcfg: ManifoldConfig):
-    """Standard softmax contrastive loss over the alignment distance."""
+    """Standard softmax contrastive loss over the geodesic distance D_ij."""
     new, old = _aligned(batch_new, batch_old, 2)
-    D = _distance_matrix(new, old, cfg, mcfg)
+    D = _distance_matrix(new, old, mcfg)
     return ad.mean(_diagonal(D) / cfg.tau
                    + ad.log(ad.sum(ad.exp(D * (-1.0 / cfg.tau)), -1)))
 
 
 def mean_distortion_loss(batch_new, batch_old, cfg: AlignmentConfig, mcfg: ManifoldConfig):
-    """Mean alignment distance over aligned pairs."""
+    """Mean geodesic distance d(new_i, old_i) over aligned pairs."""
     new, old = _aligned(batch_new, batch_old, 1)
-    return ad.mean(pair_distance(new, old, cfg, mcfg))
+    return ad.mean(hdist(new, old, mcfg))
 
 
 def contrast_term(batch_new, batch_old, uncertainties_old, cfg: AlignmentConfig,

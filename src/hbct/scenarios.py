@@ -32,6 +32,7 @@ from .manifold import ManifoldConfig
 
 SCENARIO_KINDS = ("ext_data", "ext_class", "new_arch", "both", "sequential")
 DEFAULT_METRICS = ("cmc@1", "cmc@5", "map")
+HIST_BINS = 20  # uncertainty histogram bins, text and SVG alike
 
 
 @dataclass
@@ -46,8 +47,10 @@ class SyntheticDatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_classes < 1 or self.samples_per_class < 1 or self.input_dim < 1:
+        if self.num_classes < 1 or self.input_dim < 1:
             raise InvalidArgumentError("counts must be positive")
+        if self.samples_per_class < 3:
+            raise InvalidArgumentError("samples_per_class must be >= 3 to split three ways")
         if not 0.0 < self.cluster_spread < math.inf:
             raise InvalidArgumentError("cluster_spread must be finite and > 0")
         if not math.isfinite(self.class_center_scale):
@@ -113,8 +116,6 @@ class Dataset:
 
 def generate_dataset(spec: SyntheticDatasetSpec) -> Dataset:
     """Gaussian clusters with random class centers; deterministic under seed."""
-    if spec.samples_per_class < 3:
-        raise InvalidArgumentError("samples_per_class must be >= 3 to split three ways")
     C, n, D = spec.num_classes, spec.samples_per_class, spec.input_dim
     rng = np.random.default_rng(spec.seed)
     centers = rng.normal(size=(C, D))
@@ -439,19 +440,19 @@ def write_matrix_table(path, matrix):
         f.write("\n".join(lines) + "\n")
 
 
-def _histograms(named_series, bins):
+def _histograms(named_series):
     """(name, n, counts, edges) per series, all binned over [min(0, lo), max(1, hi)]
     for the values' extremes lo and hi: uncertainties lie in [0, 1] only at K = 1."""
     values = [np.asarray(v, dtype=np.float64) for _, v in named_series]
     lo = min([0.0] + [v.min() for v in values if len(v)])
     hi = max([1.0] + [v.max() for v in values if len(v)])
-    return [(name, len(v), *np.histogram(v, bins=bins, range=(lo, hi)))
+    return [(name, len(v), *np.histogram(v, bins=HIST_BINS, range=(lo, hi)))
             for (name, _), v in zip(named_series, values)]
 
 
-def write_histogram_text(path, named_series, bins=20):
+def write_histogram_text(path, named_series):
     lines = []
-    for name, n, counts, edges in _histograms(named_series, bins):
+    for name, n, counts, edges in _histograms(named_series):
         lines.append(f"# {name} (n={n})")
         for c, lo, hi in zip(counts, edges[:-1], edges[1:]):
             bar = "#" * c
@@ -461,13 +462,13 @@ def write_histogram_text(path, named_series, bins=20):
 
 
 def write_histogram_svg(path, named_series):
-    bins, width, height = 20, 480, 240
+    width, height = 480, 240
     colors = ("#4477aa", "#ee6677", "#228833", "#ccbb44")
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
              f'height="{height}">']
-    series = _histograms(named_series, bins)
+    series = _histograms(named_series)
     peak = max((c.max() for _, _, c, _ in series), default=1) or 1
-    bw = width / bins
+    bw = width / HIST_BINS
     for si, (name, _, counts, _) in enumerate(series):
         color = colors[si % len(colors)]
         for bi, c in enumerate(counts):

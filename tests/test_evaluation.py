@@ -578,9 +578,9 @@ class TestEmbeddingStore:
         if geometry == "lorentz":  # the same space parts on the K = 0.75 sheet
             points = on_sheet(points[:, 1:], K=0.75)
         labels = [5, -3]
-        es = EmbeddingSet(points, labels, geometry, 0.75, -2)
+        es = EmbeddingSet(points, labels, geometry, 0.75, 2)
         expected = b"HBCT" + struct.pack("<IIII", 1, ("euclidean", "lorentz").index(geometry),
-                                         2, width) + struct.pack("<di", 0.75, -2)
+                                         2, width) + struct.pack("<di", 0.75, 2)
         for row, label in zip(points, labels):
             expected += struct.pack(f"<{width}d", *row) + struct.pack("<i", label)
         path = tmp_path / "golden.emb"
@@ -590,6 +590,12 @@ class TestEmbeddingStore:
         assert back.points.dtype == np.float64 and back.points.flags.c_contiguous
         assert np.array_equal(back.points, points)
         assert back.labels.tolist() == labels and back.geometry == geometry
+
+    @pytest.mark.parametrize("tag", [-1, 2**31])
+    def test_generation_tag_outside_int32_rejected(self, tag):
+        # the header's int32 field holds tags 0 .. 2**31 - 1
+        with pytest.raises(InvalidArgumentError, match="generation tag"):
+            EmbeddingSet(np.eye(2), [0, 1], "euclidean", 1.0, tag)
 
     def _saved(self, tmp_path):
         path = tmp_path / "set.emb"

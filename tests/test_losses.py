@@ -363,21 +363,6 @@ class TestMeanDistortion:
             assert got == pytest.approx(want, abs=1e-12)
 
 
-class TestDistanceKinds:
-    def test_lorentz_inner_and_squared(self):
-        rng = np.random.default_rng(23)
-        new = rand_points(rng, 3)
-        old = rand_points(rng, 3)
-        for kind in ("lorentz_inner", "squared_lorentz"):
-            cfg = AlignmentConfig(distance_kind=kind)
-            got = ad.value(mean_distortion_loss(new, old, cfg, MCFG))
-            vals = []
-            for a, b in zip(new, old):
-                inner = float(a.space @ b.space) - a.time * b.time
-                vals.append(-inner if kind == "lorentz_inner" else -2.0 - 2.0 * inner)
-            assert got == pytest.approx(np.mean(vals), abs=1e-12)
-
-
 class TestTotalLoss:
     def _setup(self, seed=24, n=4):
         rng = np.random.default_rng(seed)
@@ -426,7 +411,7 @@ class TestConfigValidation:
         for kwargs in (dict(lambda_align=-0.1), dict(tau=0.0), dict(beta=0.0),
                        dict(beta=1.5), dict(epsilon_aperture=0.0),
                        dict(q_mode="nope"), dict(q_mode="fixed", q_fixed=0.0),
-                       dict(distance_kind="nope"), dict(contrast_kind="nope")):
+                       dict(contrast_kind="nope")):
             with pytest.raises(InvalidArgumentError):
                 AlignmentConfig(**kwargs)
 

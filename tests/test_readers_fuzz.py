@@ -82,12 +82,14 @@ def _loads_or_refuses(load, tmp_path, data, name):
 @FUZZ
 @given(data=st.one_of(st.binary(max_size=256), store_files()))
 @example(data=struct.pack("<4sIIIIdi", b"HBCT", 1, 0, 0, 2**28, 1.0, 0))  # record > C int
+@example(data=struct.pack("<4sIIIIdi", b"HBCT", 1, 1, 0, 2, 1.0, -1))  # negative tag
 def test_store_reader(tmp_path, data):
     es = _loads_or_refuses(load_embedding_set, tmp_path, data, "fuzz.emb")
     if es is not None:
         count, width = struct.unpack_from("<II", data, 12)
         assert es.points.shape == (count, width) and len(es.labels) == count
         assert np.isfinite(es.points).all()
+        assert es.generation_tag >= 0
 
 
 def one_unit_checkpoint(K, zeta, *body, generation=0):

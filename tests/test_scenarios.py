@@ -82,6 +82,8 @@ class TestGenerateDataset:
             SyntheticDatasetSpec(num_classes=0)
         with pytest.raises(InvalidArgumentError):
             SyntheticDatasetSpec(cluster_spread=0.0)
+        with pytest.raises(InvalidArgumentError, match="split three ways"):
+            SyntheticDatasetSpec(samples_per_class=2)
 
     @pytest.mark.parametrize("samples_per_class", [3, 7, 10])
     def test_equals_per_class_draws(self, samples_per_class):
@@ -214,9 +216,12 @@ class TestConfigRoundTrip:
             cfgmod.parse("train.epochs\n")
 
     def test_removed_schedule_key_rejected(self):
-        # the learning rate is always cosine-annealed; the old switch is unknown
+        # the learning rate is always cosine-annealed and the alignment distance is
+        # always geodesic; the old switches are unknown keys
         with pytest.raises(InvalidArgumentError, match="cosine_annealing"):
             cfgmod.parse("train.cosine_annealing = true\n")
+        with pytest.raises(InvalidArgumentError, match="alignment.distance_kind"):
+            cfgmod.parse("alignment.distance_kind = geodesic\n")
 
     def test_serialize_golden(self):
         # the key order is the field order: each section, then output_dir and
@@ -231,7 +236,6 @@ alignment.beta = 0.01
 alignment.epsilon_aperture = 0.1
 alignment.q_mode = adaptive
 alignment.q_fixed = 0.5
-alignment.distance_kind = geodesic
 alignment.contrast_kind = rince
 clip.zeta_old = 1.0
 clip.zeta_step = 0.2
@@ -510,7 +514,7 @@ class TestEmission:
         rng = np.random.default_rng(0)
         vals = rng.uniform(0.0, 1.0, size=57)
         path = tmp_path / "hist.txt"
-        write_histogram_text(path, [("unc", vals)], bins=10)
+        write_histogram_text(path, [("unc", vals)])
         counts = [int(line.split()[1]) for line in path.read_text().splitlines()
                   if line.startswith("[")]
         assert sum(counts) == 57
@@ -706,7 +710,7 @@ class TestCli:
     def test_evaluate_unrankable_inputs_exit_2(self, tmp_path):
         rng = np.random.default_rng(1)
 
-        def store(name, count, width, K=1.0, rows=None):
+        def store(name, count, width, K=1.0, rows=None, tag=0):
             # raw bytes, so that sets EmbeddingSet refuses can still be written
             path = tmp_path / name
             spaces = rng.normal(size=(count, max(width - 1, 0)))
@@ -714,7 +718,7 @@ class TestCli:
                 rows = np.column_stack([np.sqrt(1.0 + (spaces ** 2).sum(axis=1)), spaces])
             body = b"".join(struct.pack(f"<{width}di", *row[:width], i % 2)
                             for i, row in enumerate(rows))
-            path.write_bytes(struct.pack("<4sIIIIdi", b"HBCT", 1, 1, count, width, K, 0)
+            path.write_bytes(struct.pack("<4sIIIIdi", b"HBCT", 1, 1, count, width, K, tag)
                              + body)
             return str(path)
 
@@ -731,6 +735,7 @@ class TestCli:
                                  (store("kinf.emb", 4, 4, K=math.inf),) * 2,
                                  (store("w1.emb", 4, 1),) * 2,
                                  (store("wide.emb", 0, 2**28),) * 2,
+                                 (store("tag-5.emb", 4, 4, tag=-5),) * 2,
                                  (huge, huge),
                                  # row 1 is off the upper sheet: with -K<x, q>_L clamped at
                                  # 1, it ranked at distance 0 from the query [3, 2, 2],
