@@ -8,13 +8,17 @@ off the upper sheet of its hyperboloid, an empty set or an inner product that
 overflows float64.  Galleries are scanned exactly (no ANN index), a block of
 queries at a time; ties break toward the lower gallery index so rankings are
 deterministic.  CMC@k and mAP are read off each query's ranks of its
-same-label gallery items, found without sorting gallery indices.
+same-label gallery items, found without sorting gallery indices; each query's
+first relevant rank and AP are kept for the last (queries, gallery) pair, so
+several metrics on one pair rank it once.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
+import operator
 import struct
 import warnings
 from dataclasses import dataclass, fields
@@ -55,6 +59,11 @@ class EmbeddingSet:
             raise InvalidArgumentError(f"unknown geometry {self.geometry!r}")
         if self.points.ndim != 2 or len(self.points) != len(self.labels):
             raise InvalidArgumentError("points must be a 2-d array, one row per label")
+        try:
+            self.generation_tag = operator.index(self.generation_tag)
+        except TypeError:
+            raise InvalidArgumentError(f"generation tag must be an integer, "
+                                       f"got {self.generation_tag!r}") from None
         if not 0 <= self.generation_tag <= _INT32.max:
             raise InvalidArgumentError(f"generation tag must be in [0, 2**31), "
                                        f"got {self.generation_tag}")
@@ -164,14 +173,14 @@ def _check_pairing(queries: EmbeddingSet, gallery: EmbeddingSet):
 
 def _relevant_ranks(queries: EmbeddingSet, gallery: EmbeddingSet):
     """Yield each query's ascending 0-based ranks of its same-label gallery
-    items; when ``queries is gallery`` the query's own row is dropped first.
+    items, for a pair that _check_pairing accepted; when ``queries is gallery``
+    the query's own row is dropped first.
 
     No gallery index is sorted.  Each block of queries gets one distance
     block; an item's rank is the count of smaller distances in its query's
     row, found by binary search in the value-sorted row, plus the count of
     equal distances at lower gallery indices.
     """
-    _check_pairing(queries, gallery)
     self_mode = queries is gallery
     G, gn = len(gallery), _gallery_norms(gallery)
     step = max(1, _BLOCK // G)
@@ -208,20 +217,53 @@ def _relevant_ranks(queries: EmbeddingSet, gallery: EmbeddingSet):
         yield from np.split(ranks, np.cumsum(np.bincount(rows, minlength=T))[:-1])
 
 
+# (key, first, ap) of the last pair _ranking reduced; read once per call, so a
+# concurrent caller replacing it cannot hand this call another pair's values
+_last_ranking = None
+
+
+def _pair_key(queries: EmbeddingSet, gallery: EmbeddingSet):
+    """Self mode, then each set's geometry, K, shape and a SHA-256 of its points and
+    labels bytes.  A set keeps the caller's array, which may be written in place
+    after the set is built, so the key reads the contents, not the identity."""
+    def describe(s):
+        h = hashlib.sha256(np.ascontiguousarray(s.points))
+        h.update(np.ascontiguousarray(s.labels))
+        return s.geometry, s.curvature_K, s.points.shape, h.digest()
+    return queries is gallery, describe(queries), describe(gallery)
+
+
+def _ranking(queries: EmbeddingSet, gallery: EmbeddingSet):
+    """(first, ap) per query: the first relevant rank (inf when the query has no
+    relevant item) and the AP (NaN when it has none), from one _relevant_ranks
+    pass.  The last pair's result is kept, so a second metric on it ranks nothing."""
+    global _last_ranking
+    _check_pairing(queries, gallery)
+    key, last = _pair_key(queries, gallery), _last_ranking
+    if last is None or last[0] != key:
+        first = np.full(len(queries), np.inf)
+        ap = np.full(len(queries), np.nan)
+        for i, ranks in enumerate(_relevant_ranks(queries, gallery)):
+            if len(ranks):
+                first[i] = ranks[0]
+                ap[i] = np.mean(np.arange(1, len(ranks) + 1) / (ranks + 1))
+        last = _last_ranking = key, first, ap
+    return last[1:]
+
+
 def cmc_at_k(queries: EmbeddingSet, gallery: EmbeddingSet, k: int) -> float:
     """Fraction of queries with a same-label gallery item in the top k."""
     if k < 1:
         raise InvalidArgumentError(f"k must be >= 1, got {k}")
-    hits = sum(1 for ranks in _relevant_ranks(queries, gallery)
-               if len(ranks) and ranks[0] < k)
-    return hits / len(queries)
+    first, _ = _ranking(queries, gallery)
+    return int(np.count_nonzero(first < k)) / len(queries)
 
 
 def mean_average_precision(queries: EmbeddingSet, gallery: EmbeddingSet) -> float:
     """mAP over queries; AP per query averages precision at each relevant rank."""
-    aps = [float(np.mean(np.arange(1, len(ranks) + 1) / (ranks + 1)))
-           for ranks in _relevant_ranks(queries, gallery) if len(ranks)]
-    if not aps:
+    _, ap = _ranking(queries, gallery)
+    aps = ap[~np.isnan(ap)]
+    if not len(aps):
         raise InvalidArgumentError("no query has a relevant gallery item")
     skipped = len(queries) - len(aps)
     if skipped:

@@ -289,18 +289,19 @@ def run_variants(cfg: ExperimentConfig, seed: int, variants,
     ds = _seeded(cfg, seed)
     old = _fit(cfg, ds, seed)
     star, news = _update(cfg, ds, seed, old, variants)
-    old_self = {m: evaluate_metric(old.queries, old.gallery, m) for m in metrics}
-    star_self = {m: evaluate_metric(star.queries, star.gallery, m) for m in metrics}
+    # pair by pair, every metric at once: evaluate_metric ranks each pair once
+    def scores(queries, gallery):
+        return {m: evaluate_metric(queries, gallery, m) for m in metrics}
 
+    old_self = scores(old.queries, old.gallery)
+    star_self = scores(star.queries, star.gallery)
     results = {}
     for name, new in news.items():
-        reports = {m: CompatReport.compute(
-            m,
-            self_value=evaluate_metric(new.queries, new.gallery, m),
-            cross_value=evaluate_metric(new.queries, old.gallery, m),
-            old_self_value=old_self[m],
-            star_self_value=star_self[m],
-        ) for m in metrics}
+        new_self, cross = scores(new.queries, new.gallery), scores(new.queries, old.gallery)
+        reports = {m: CompatReport.compute(m, self_value=new_self[m], cross_value=cross[m],
+                                           old_self_value=old_self[m],
+                                           star_self_value=star_self[m])
+                   for m in metrics}
         results[name] = ScenarioResult(old, star, new, reports)
     return results
 

@@ -1,6 +1,6 @@
-"""Retrieval metrics against brute-force dual implementations, compatibility
-metric arithmetic, inputs that evaluation must refuse, and the embedding
-store format."""
+"""Retrieval metrics against brute-force dual implementations, the last-pair
+ranking memo, compatibility metric arithmetic, inputs that evaluation must
+refuse, and the embedding store format."""
 
 import math
 import struct
@@ -13,12 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbct import evaluation
+from hbct.encoder import ClipPolicy, TrainConfig
 from hbct.errors import DegenerateBaselineError, InvalidArgumentError
 from hbct.evaluation import (CompatReport, EmbeddingSet, cmc_at_k,
                              compatibility_matrix, evaluate_metric,
                              load_embedding_set, mean_average_precision, p_com,
                              p_up, retrieve, save_embedding_set)
+from hbct.losses import AlignmentConfig
 from hbct.manifold import ManifoldConfig, expm_origin
+from hbct.scenarios import (ExperimentConfig, ScenarioSpec, SyntheticDatasetSpec,
+                            run_single)
 
 MCFG = ManifoldConfig(1.0, 3)
 
@@ -394,7 +398,107 @@ class TestBlockedRanking:
             for metric in ("cmc@1", "map"):
                 evaluate_metric(queries, gallery, metric)
             retrieve(queries.points[0], gallery)
-        assert len(calls) == 3 and all(g is gallery for g in calls)
+        # one ranking pass serves cmc@1 and map; retrieve makes the other
+        assert len(calls) == 2 and all(g is gallery for g in calls)
+
+
+@pytest.fixture
+def ranking_passes(monkeypatch):
+    """The list of (queries, gallery) that _relevant_ranks ranks, from an empty memo."""
+    monkeypatch.setattr(evaluation, "_last_ranking", None)
+    passes, ranks = [], evaluation._relevant_ranks
+
+    def counted(queries, gallery):
+        passes.append((queries, gallery))
+        return ranks(queries, gallery)
+    monkeypatch.setattr(evaluation, "_relevant_ranks", counted)
+    return passes
+
+
+class TestRankingMemo:
+    """The last pair's per-query ranks serve every metric on that pair, and only it."""
+
+    METRICS = ("cmc@1", "cmc@5", "map")
+
+    def _pair(self, seed, geometry="lorentz"):
+        rng = np.random.default_rng(seed)
+        gallery = EmbeddingSet(_rows(rng, 30, 3, geometry, None), rng.integers(0, 3, 30),
+                               geometry)
+        queries = EmbeddingSet(_rows(rng, 8, 3, geometry, None), rng.integers(0, 3, 8),
+                               geometry)
+        return queries, gallery
+
+    def _oracle(self, queries, gallery):
+        cmc, mean_ap = lexsort_metrics(queries, gallery, (1, 5))
+        return {"cmc@1": cmc[1], "cmc@5": cmc[5], "map": mean_ap}
+
+    def test_one_pass_per_pair(self, ranking_passes):
+        a, b = self._pair(60), self._pair(61)
+        expect_a, expect_b = self._oracle(*a), self._oracle(*b)
+        assert [evaluate_metric(*a, m) for m in self.METRICS] == list(expect_a.values())
+        assert len(ranking_passes) == 1
+        # alternating pairs: each call is a new pair, and each gets its own value
+        for m in self.METRICS:
+            assert evaluate_metric(*b, m) == expect_b[m]
+            assert evaluate_metric(*a, m) == expect_a[m]
+        assert len(ranking_passes) == 1 + 2 * len(self.METRICS)
+
+    def test_run_single_ranks_each_pair_once(self, ranking_passes):
+        cfg = ExperimentConfig(
+            manifold=ManifoldConfig(1.0, 4), alignment=AlignmentConfig(lambda_align=0.3),
+            clip=ClipPolicy(), train=TrainConfig(epochs=3, batch_size=8),
+            dataset=SyntheticDatasetSpec(num_classes=6, samples_per_class=15, input_dim=6,
+                                         cluster_spread=2.0, class_center_scale=2.0),
+            scenario=ScenarioSpec(kind="ext_class", class_fraction=0.5), seeds=(0,))
+        res = run_single(cfg, 0, metrics=self.METRICS)
+        # old/old, star/star, new/new and new/old
+        expected = [(res.old, res.old), (res.star, res.star), (res.new, res.new),
+                    (res.new, res.old)]
+        assert len(ranking_passes) == len(expected)
+        for (q, g), (q_gen, g_gen) in zip(ranking_passes, expected):
+            assert q is q_gen.queries and g is g_gen.gallery
+        assert set(res.reports) == set(self.METRICS)
+
+    @pytest.mark.parametrize("geometry", ["lorentz", "euclidean"])
+    def test_rows_written_in_place_are_ranked_anew(self, ranking_passes, geometry):
+        rng = np.random.default_rng(62)
+        points = _rows(rng, 30, 3, geometry, None)
+        gallery = EmbeddingSet(points, rng.integers(0, 3, 30), geometry)
+        queries = self._pair(63, geometry)[0]
+        before = [evaluate_metric(queries, gallery, m) for m in self.METRICS]
+        assert before == list(self._oracle(queries, gallery).values())
+        # the set holds the caller's array: new rows written into it change the ranking
+        points[:] = _rows(rng, 30, 3, geometry, None)
+        assert gallery.points is points
+        after = [evaluate_metric(queries, gallery, m) for m in self.METRICS]
+        assert after == list(self._oracle(queries, gallery).values()) != before
+        assert len(ranking_passes) == 2
+
+    def test_self_mode_and_equal_copy_keep_their_own_values(self, ranking_passes):
+        g = lorentz_set(np.random.default_rng(64), 12, labels=[0, 1, 2] * 4)
+        twin = EmbeddingSet(g.points.copy(), g.labels.copy())
+        self_map, twin_map = brute_map(g, g), brute_map(twin, g)
+        assert self_map < twin_map
+        # self mode drops each query's own row; the copy finds it first
+        for _ in range(2):
+            assert evaluate_metric(g, g, "cmc@1") == brute_cmc(g, g, 1) < 1.0
+            assert evaluate_metric(twin, g, "cmc@1") == 1.0
+            assert evaluate_metric(g, g, "map") == pytest.approx(self_map, abs=1e-12)
+            assert evaluate_metric(twin, g, "map") == pytest.approx(twin_map, abs=1e-12)
+        assert len(ranking_passes) == 8
+
+    def test_skip_warning_and_no_relevant_error_on_a_memo_hit(self, ranking_passes):
+        rng = np.random.default_rng(65)
+        q = lorentz_set(rng, 3, labels=[0, 0, 9])
+        g = lorentz_set(rng, 4, labels=[0, 0, 1, 1])
+        cmc_at_k(q, g, 1)
+        with pytest.warns(UserWarning, match="1 queries had no relevant gallery item"):
+            mean_average_precision(q, g)
+        none = lorentz_set(rng, 2, labels=[8, 9])
+        assert cmc_at_k(none, g, 1) == 0.0
+        with pytest.raises(InvalidArgumentError, match="no query has a relevant"):
+            mean_average_precision(none, g)
+        assert len(ranking_passes) == 2
 
 
 class TestCmc:
@@ -591,7 +695,7 @@ class TestEmbeddingStore:
         assert np.array_equal(back.points, points)
         assert back.labels.tolist() == labels and back.geometry == geometry
 
-    @pytest.mark.parametrize("tag", [-1, 2**31])
+    @pytest.mark.parametrize("tag", [-1, 2**31, 1.5])
     def test_generation_tag_outside_int32_rejected(self, tag):
         # the header's int32 field holds tags 0 .. 2**31 - 1
         with pytest.raises(InvalidArgumentError, match="generation tag"):
