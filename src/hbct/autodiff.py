@@ -261,12 +261,6 @@ def powr(a, b):
     return _apply(np.power, (lambda g, o, a, b: g * (b * a ** (b - 1.0)), None), a, b)
 
 
-def max0(x):
-    """Hinge max(0, x) with subgradient 0 at x == 0."""
-    return _apply(lambda v: np.where(v > 0.0, v, 0.0),
-                  (lambda g, o, v: np.where(v > 0.0, g, 0.0),), x)
-
-
 def where(cond, a, b):
     """Select a where the plain boolean cond holds, else b; adjoints follow."""
     return _apply(np.where, (None, lambda g, o, c, a, b: np.where(c, g, 0.0),

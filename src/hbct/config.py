@@ -72,8 +72,12 @@ def parse(text: str) -> ExperimentConfig:
 
 
 def load(path) -> ExperimentConfig:
-    with open(path) as f:
-        return parse(f.read())
+    with open(path, encoding="utf-8") as f:
+        try:
+            text = f.read()
+        except UnicodeDecodeError as e:
+            raise InvalidArgumentError(f"config {path} is not UTF-8 text: {e}") from None
+    return parse(text)
 
 
 def save(path, cfg: ExperimentConfig):

@@ -332,30 +332,27 @@ def evaluate_metric(queries: EmbeddingSet, gallery: EmbeddingSet, metric: str) -
     return cmc_at_k(queries, gallery, k)
 
 
-def compatibility_matrix(embeddings, star_embeddings, metric: str) -> np.ndarray:
-    """N x N matrix of P_com across generations.
+def compatibility_matrix(values, star_self, metric: str) -> np.ndarray:
+    """N x N matrix of P_com across generations, from one metric's retrieval values.
 
-    ``embeddings`` holds one (query EmbeddingSet, gallery EmbeddingSet) pair
-    per generation (same underlying items, embedded by that generation's
-    model); ``star_embeddings`` the same for each generation's unaligned
-    counterpart.  Entry (i, j) is P_com with queries embedded by generation i
-    against the gallery of generation j: the old-self anchor is generation
-    j's own retrieval, the star anchor is generation i's unaligned model.
-    Diagonal entries are 0 by the self-anchor convention (the numerator
-    vanishes identically), kept finite without dividing.
+    ``values[i][j]`` is the metric for generation i's queries against
+    generation j's gallery (same items, embedded by each generation's model),
+    so its diagonal holds each generation's self retrieval; ``star_self[i]``
+    is the self retrieval of generation i's unaligned counterpart.  Entry
+    (i, j) is p_com(values[i][j], values[j][j], star_self[i]): the old-self
+    anchor is generation j's own retrieval, the star anchor generation i's
+    unaligned model.  Diagonal entries are 0 by the self-anchor convention
+    (the numerator vanishes identically), kept finite without dividing.
     """
-    n = len(embeddings)
-    if n < 2:
-        raise InvalidArgumentError("need at least 2 generations")
-    if len(star_embeddings) != n:
-        raise InvalidArgumentError("need one star pairing per generation")
-    self_vals = [evaluate_metric(q, g, metric) for q, g in embeddings]
-    star_vals = [evaluate_metric(q, g, metric) for q, g in star_embeddings]
+    n = len(values)
+    if n < 2 or any(len(row) != n for row in values):
+        raise InvalidArgumentError("need an N x N table of values with N >= 2")
+    if len(star_self) != n:
+        raise InvalidArgumentError("need one star self value per generation")
     out = np.zeros((n, n))
     try:
         for i, j in itertools.permutations(range(n), 2):
-            cross = evaluate_metric(embeddings[i][0], embeddings[j][1], metric)
-            out[i, j] = p_com(cross, self_vals[j], star_vals[i])
+            out[i, j] = p_com(values[i][j], values[j][j], star_self[i])
     except DegenerateBaselineError as e:
         e.args = (f"{metric}: {e}",)
         raise

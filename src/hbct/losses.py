@@ -143,7 +143,8 @@ def exterior_angle(h_o, h_n, cfg: AlignmentConfig, mcfg: ManifoldConfig):
 
 def entailment_loss(h_n, h_o, cfg: AlignmentConfig, mcfg: ManifoldConfig):
     """Hinge on how far h_n pokes outside h_o's entailment cone."""
-    return ad.max0(exterior_angle(h_o, h_n, cfg, mcfg) - aperture(h_o, cfg, mcfg))
+    v = exterior_angle(h_o, h_n, cfg, mcfg) - aperture(h_o, cfg, mcfg)
+    return ad.where(ad.value(v) > 0.0, v, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -331,8 +331,10 @@ def _chain(cfg: ExperimentConfig, seed: int):
     return gens, stars
 
 
-def _pairs(chain):
-    return [(g.queries, g.gallery) for g in chain]
+def _values(chain, metric):
+    """metric for each generation's queries (rows) against each one's gallery (columns)."""
+    return np.array([[evaluate_metric(q.queries, g.gallery, metric) for g in chain]
+                     for q in chain])
 
 
 def sequential_matrix(cfg: ExperimentConfig, seed: int, metric: str = "cmc@1"):
@@ -341,9 +343,9 @@ def sequential_matrix(cfg: ExperimentConfig, seed: int, metric: str = "cmc@1"):
     the chain's stars.  At lambda_align = 0 the two matrices are equal."""
     parse_metric(metric)
     gens, stars = _chain(cfg, seed)
-    star_pairs = _pairs(stars)
-    return (compatibility_matrix(_pairs(gens), star_pairs, metric),
-            compatibility_matrix(star_pairs, star_pairs, metric))
+    base = _values(stars, metric)
+    return (compatibility_matrix(_values(gens, metric), np.diag(base), metric),
+            compatibility_matrix(base, np.diag(base), metric))
 
 
 # ---------------------------------------------------------------------------

@@ -626,31 +626,54 @@ class TestCompatibilityMetrics:
 
 
 class TestCompatibilityMatrix:
-    def _pairs(self, rng, n_gen):
-        pairs = []
+    def _table(self, rng, n_gen):
+        """metric values of n_gen random generations, queries (rows) against galleries."""
+        gens = []
         for tag in range(n_gen):
             labels = rng.integers(0, 3, size=10)
-            q = lorentz_set(rng, 10, labels=labels, tag=tag)
-            g = lorentz_set(rng, 10, labels=labels, tag=tag)
-            pairs.append((q, g))
-        return pairs
+            gens.append((lorentz_set(rng, 10, labels=labels, tag=tag),
+                         lorentz_set(rng, 10, labels=labels, tag=tag)))
+        return [[evaluate_metric(q, g, "map") for _, g in gens] for q, _ in gens]
 
     def test_two_generations_reduce_to_p_com(self):
         rng = np.random.default_rng(11)
-        pairs = self._pairs(rng, 2)
-        stars = self._pairs(rng, 2)
-        m = compatibility_matrix(pairs, stars, "map")
-        self_1 = evaluate_metric(*pairs[0], "map")
-        star_2 = evaluate_metric(*stars[1], "map")
-        cross = evaluate_metric(pairs[1][0], pairs[0][1], "map")
-        assert m[1, 0] == pytest.approx(p_com(cross, self_1, star_2), abs=1e-12)
+        values = self._table(rng, 2)
+        stars = self._table(rng, 2)
+        m = compatibility_matrix(values, [stars[0][0], stars[1][1]], "map")
+        assert m[1, 0] == pytest.approx(p_com(values[1][0], values[0][0], stars[1][1]),
+                                        abs=1e-12)
         assert m[0, 0] == 0.0 and m[1, 1] == 0.0
 
     def test_needs_two_generations(self):
         rng = np.random.default_rng(12)
-        pairs = self._pairs(rng, 1)
+        values = self._table(rng, 1)
         with pytest.raises(InvalidArgumentError):
-            compatibility_matrix(pairs, pairs, "map")
+            compatibility_matrix(values, [values[0][0]], "map")
+
+    def test_entries_are_p_com(self):
+        values = [[0.8, 0.3, 0.2], [0.5, 0.9, 0.4], [0.45, 0.6, 0.7]]
+        star_self = [0.8, 0.95, 0.75]
+        m = compatibility_matrix(values, star_self, "cmc@1")
+        for i in range(3):
+            for j in range(3):
+                want = 0.0 if i == j else p_com(values[i][j], values[j][j], star_self[i])
+                assert m[i, j] == want
+
+    @pytest.mark.parametrize("values, star_self", [
+        ([[0.5]], [0.6]),                                  # one generation
+        ([[0.5, 0.4, 0.3], [0.2, 0.6, 0.1]], [0.7, 0.8]),  # 2 rows of 3
+        ([[0.5, 0.4], [0.2]], [0.7, 0.8]),                 # ragged
+        ([[0.5, 0.4], [0.2, 0.6]], [0.7]),                 # a star short
+        ([[0.5, 0.4], [0.2, 0.6]], [0.7, 0.8, 0.9])])      # a star over
+    def test_refuses_bad_shapes(self, values, star_self):
+        with pytest.raises(InvalidArgumentError):
+            compatibility_matrix(values, star_self, "map")
+
+    def test_degenerate_anchor_names_metric(self):
+        # generation 1's star scores what generation 0 scores on itself
+        with pytest.raises(DegenerateBaselineError) as info:
+            compatibility_matrix([[0.6, 0.3], [0.4, 0.7]], [0.9, 0.6], "cmc@5")
+        assert str(info.value).startswith("cmc@5: ")
 
 
 class TestEmbeddingStore:

@@ -417,8 +417,9 @@ class TestSequential:
 
 
 class TestGenerationCounts:
-    """Per seed, each experiment trains the expected number of models and
-    embeds the query and gallery splits of each trained model exactly once."""
+    """Per seed, each experiment trains the expected number of models, embeds
+    the query and gallery splits of each trained model exactly once and makes
+    the expected number of ranking passes."""
 
     CFG = tiny_cfg(scenario=ScenarioSpec(kind="sequential", n_steps=3),
                    train=TrainConfig(epochs=1, batch_size=8, learning_rate=0.05))
@@ -470,6 +471,17 @@ class TestGenerationCounts:
         sequential_matrix(replace(self.CFG, alignment=AlignmentConfig(lambda_align=lam)),
                           0, metric="map")
         counted(n_trained)
+
+    def test_sequential_matrix_ranks_each_pair_once(self, monkeypatch):
+        # 3 steps: each chain's 9 pairs once; generation 0's self pair, shared by
+        # both chains, again because the memo holds only the last pair
+        import hbct.evaluation as ev
+        passes, ranks = [], ev._relevant_ranks
+        monkeypatch.setattr(ev, "_relevant_ranks",
+                            lambda q, g: passes.append(1) or ranks(q, g))
+        sequential_matrix(replace(self.CFG, alignment=AlignmentConfig(lambda_align=0.3)),
+                          0, metric="map")
+        assert len(passes) == 18
 
     @pytest.mark.parametrize("n_variants", [1, 3])
     def test_run_variants(self, counted, n_variants):
@@ -649,6 +661,19 @@ class TestCli:
         path = tmp_path / "bad.cfg"
         path.write_text("train.warmup = 5\n")
         assert main(["scenario", "--config", str(path)]) == 2
+
+    def test_non_utf8_config_exits_2(self, tmp_path, monkeypatch, capsys):
+        # a config file is UTF-8 text; any other bytes are bad input, not a crash
+        monkeypatch.setenv("HBCT_OUTPUT_ROOT", str(tmp_path))
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"train.epochs = 2\n# \xff\n")
+        data = tmp_path / "data.npz"
+        for argv in (["generate", "--out", str(data)], ["scenario"]):
+            assert main(argv + ["--config", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("bad config or input") and "Traceback" not in err
+            assert str(path) in err
+        assert not data.exists() and not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("line", ["train.epochs = abc", "seeds = 0,x", "seeds = 0,0",
                                       "manifold.curvature_K = flat",
