@@ -20,6 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape
 from .errors import InvalidArgumentError, TrainingFailureError, NumericalDomainError
+from .evaluation import check_generation_tag
 from .losses import AlignmentConfig, total_loss
 from .manifold import ManifoldConfig, hexpm_origin, rescale_clip, uncertainty
 
@@ -74,7 +75,7 @@ class EncoderModel:
     def __init__(self, layers, generation_tag=0):
         self.layers = [(np.asarray(W, dtype=np.float64), np.asarray(b, dtype=np.float64))
                        for W, b in layers]
-        self.generation_tag = int(generation_tag)
+        self.generation_tag = check_generation_tag(generation_tag)
 
     @classmethod
     def init(cls, input_dim, hidden_dims, output_dim, rng, generation_tag=0):

@@ -38,6 +38,18 @@ _INT32 = np.iinfo(np.int32)
 _SHEET_TOL = 1e-9
 
 
+def check_generation_tag(tag) -> int:
+    """``tag`` as an int; a store or checkpoint holds it as an int32 >= 0."""
+    try:
+        tag = operator.index(tag)
+    except TypeError:
+        raise InvalidArgumentError(f"generation tag must be an integer, "
+                                   f"got {tag!r}") from None
+    if not 0 <= tag <= _INT32.max:
+        raise InvalidArgumentError(f"generation tag must be in [0, 2**31), got {tag}")
+    return tag
+
+
 @dataclass
 class EmbeddingSet:
     """Immutable gallery/query embeddings with labels and geometry metadata.
@@ -59,14 +71,7 @@ class EmbeddingSet:
             raise InvalidArgumentError(f"unknown geometry {self.geometry!r}")
         if self.points.ndim != 2 or len(self.points) != len(self.labels):
             raise InvalidArgumentError("points must be a 2-d array, one row per label")
-        try:
-            self.generation_tag = operator.index(self.generation_tag)
-        except TypeError:
-            raise InvalidArgumentError(f"generation tag must be an integer, "
-                                       f"got {self.generation_tag!r}") from None
-        if not 0 <= self.generation_tag <= _INT32.max:
-            raise InvalidArgumentError(f"generation tag must be in [0, 2**31), "
-                                       f"got {self.generation_tag}")
+        self.generation_tag = check_generation_tag(self.generation_tag)
         if self.geometry == "lorentz":
             if not 0.0 < self.curvature_K < math.inf:
                 raise InvalidArgumentError(f"Lorentz curvature_K must be finite and "
@@ -171,50 +176,37 @@ def _check_pairing(queries: EmbeddingSet, gallery: EmbeddingSet):
         raise InvalidArgumentError("empty gallery")
 
 
-def _relevant_ranks(queries: EmbeddingSet, gallery: EmbeddingSet):
-    """Yield each query's ascending 0-based ranks of its same-label gallery
-    items, for a pair that _check_pairing accepted; when ``queries is gallery``
-    the query's own row is dropped first.
-
-    No gallery index is sorted.  Each block of queries gets one distance
-    block; an item's rank is the count of smaller distances in its query's
-    row, found by binary search in the value-sorted row, plus the count of
-    equal distances at lower gallery indices.
-    """
-    self_mode = queries is gallery
-    G, gn = len(gallery), _gallery_norms(gallery)
-    step = max(1, _BLOCK // G)
+def _rank_pair(queries: EmbeddingSet, gallery: EmbeddingSet):
+    """(first, ap) per query of a pair that _check_pairing accepted: its first
+    relevant rank (inf when it has none) and AP (NaN when it has none), its own
+    row dropped when ``queries is gallery``.  Ranks are read per query row, with
+    no gallery index sorted: an item's rank is the count of smaller distances in
+    its value-sorted row, by binary search, plus the count of equal distances at
+    lower gallery indices, which runs only on rows whose distances repeat."""
+    self_mode, gn = queries is gallery, _gallery_norms(gallery)
+    first, ap = np.full(len(queries), np.inf), np.full(len(queries), np.nan)
+    step = max(1, _BLOCK // len(gallery))
     for start in range(0, len(queries), step):
         d = _distances(queries.points[start:start + step], gallery, gn)
-        T = len(d)
-        rows, cols = np.nonzero(queries.labels[start:start + T, None] == gallery.labels)
+        same = queries.labels[start:start + len(d), None] == gallery.labels
         if self_mode:
             # distances are finite, so +inf ranks the own row after every item
-            own = np.arange(T)
-            d[own, start + own] = np.inf
-            keep = cols != rows + start
-            rows, cols = rows[keep], cols[keep]
-        dist = d[rows, cols]
-        order = np.lexsort((cols, dist, rows))
-        rows, cols, dist = rows[order], cols[order], dist[order]
-        # rows laid end to end: real part the row, imaginary part the sorted distances
-        table = np.empty((T, G), np.complex128)
-        table.real = np.arange(T)[:, None]
-        table.imag = np.sort(d, axis=1)
-        keys = np.empty(len(rows), np.complex128)
-        keys.real, keys.imag = rows, dist
-        lo = np.searchsorted(table.ravel(), keys, "left")
-        hi = np.searchsorted(table.ravel(), keys, "right")
-        ranks = lo - rows * G
-        # an exact tie: the equal distances at lower gallery indices rank first.
-        # The pairs of one tie are adjacent and share lo, so they form one group.
-        tied = np.flatnonzero(hi - lo > 1)
-        for group in np.split(tied, np.flatnonzero(np.diff(lo[tied])) + 1):
-            if len(group):
-                i = group[0]
-                equal = np.flatnonzero(d[rows[i]] == dist[i])
-                ranks[group] += np.searchsorted(equal, cols[group])
-        yield from np.split(ranks, np.cumsum(np.bincount(rows, minlength=T))[:-1])
+            own = np.arange(len(d))
+            d[own, start + own], same[own, start + own] = np.inf, False
+        s = np.sort(d, axis=1)
+        tied = (s[:, 1:] == s[:, :-1]).any(axis=1)
+        for i in np.flatnonzero(same.any(axis=1)):
+            row, srow, rel = d[i], s[i], same[i].nonzero()[0]
+            dist = row[rel]
+            ranks = srow.searchsorted(dist)
+            if tied[i]:  # equal distances at lower gallery indices rank first
+                for v in np.unique(dist[srow.searchsorted(dist, "right") - ranks > 1]):
+                    at = dist == v
+                    ranks[at] += (row == v).nonzero()[0].searchsorted(rel[at])
+            ranks.sort()
+            first[start + i] = ranks[0]
+            ap[start + i] = (np.arange(1, len(ranks) + 1) / (ranks + 1)).mean()
+    return first, ap
 
 
 # (key, first, ap) of the last pair _ranking reduced; read once per call, so a
@@ -234,20 +226,13 @@ def _pair_key(queries: EmbeddingSet, gallery: EmbeddingSet):
 
 
 def _ranking(queries: EmbeddingSet, gallery: EmbeddingSet):
-    """(first, ap) per query: the first relevant rank (inf when the query has no
-    relevant item) and the AP (NaN when it has none), from one _relevant_ranks
-    pass.  The last pair's result is kept, so a second metric on it ranks nothing."""
+    """_rank_pair's (first, ap) for the pair.  The last pair's result is kept, so a
+    second metric on it ranks nothing."""
     global _last_ranking
     _check_pairing(queries, gallery)
     key, last = _pair_key(queries, gallery), _last_ranking
     if last is None or last[0] != key:
-        first = np.full(len(queries), np.inf)
-        ap = np.full(len(queries), np.nan)
-        for i, ranks in enumerate(_relevant_ranks(queries, gallery)):
-            if len(ranks):
-                first[i] = ranks[0]
-                ap[i] = np.mean(np.arange(1, len(ranks) + 1) / (ranks + 1))
-        last = _last_ranking = key, first, ap
+        last = _last_ranking = (key, *_rank_pair(queries, gallery))
     return last[1:]
 
 

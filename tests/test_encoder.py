@@ -203,6 +203,12 @@ class TestCheckpoint:
         assert zeta == POLICY.zeta(2)
         assert [W.shape for W, _ in loaded.layers] == [(6, 3), (5, 6), (4, 5)]
 
+    @pytest.mark.parametrize("tag", [1.7, "1", -1, 2**31])
+    def test_tag_outside_int32_rejected(self, tag):
+        # the header stores the tag as an int32 >= 0, as a store does
+        with pytest.raises(InvalidArgumentError, match="generation tag"):
+            EncoderModel.init(3, (), 2, np.random.default_rng(0), generation_tag=tag)
+
     def test_golden_bytes(self, tmp_path):
         # header, layer table, then W0, b0, ..., W_L, b_L and the head
         rng = np.random.default_rng(8)

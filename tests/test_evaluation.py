@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hbct import evaluation
@@ -352,11 +352,27 @@ def ranking_cases(draw):
     return queries, gallery, draw(st.sampled_from([1, 7, 64, 1 << 14]))
 
 
+def _line(xs, labels):
+    """A Lorentz set of the points [sqrt(1 + x^2), x]: mirrored x tie exactly."""
+    xs = np.asarray(xs, dtype=np.float64)
+    return EmbeddingSet(np.column_stack([np.sqrt(1.0 + xs ** 2), xs]), labels)
+
+
+_SELF_DUPLICATE = _line([0.0, 0.0, 1.0, -1.0], [0, 1, 0, 0])
+
+
 class TestBlockedRanking:
     """CMC@k and mAP equal a full lexsort oracle exactly, for every block size."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=ranking_cases())
+    # the only equal distances are between non-relevant items
+    @example(case=(_line([0.0], [0]), _line([1.0, -1.0, 2.0, 0.5], [1, 1, 0, 0]), 1 << 14))
+    # a relevant item ties with a non-relevant item at a lower index
+    @example(case=(_line([0.0], [0]), _line([1.0, -1.0, 3.0], [1, 0, 0]), 1))
+    # self mode: query 0's own row duplicates row 1, and queries 0 and 2 see ties
+    @example(case=(_SELF_DUPLICATE, _SELF_DUPLICATE, 1))
+    @example(case=(_SELF_DUPLICATE, _SELF_DUPLICATE, 1 << 14))
     def test_matches_lexsort_oracle(self, case):
         queries, gallery, block = case
         ks = sorted({1, 2, 5, len(gallery)})
@@ -404,14 +420,14 @@ class TestBlockedRanking:
 
 @pytest.fixture
 def ranking_passes(monkeypatch):
-    """The list of (queries, gallery) that _relevant_ranks ranks, from an empty memo."""
+    """The list of (queries, gallery) that _rank_pair ranks, from an empty memo."""
     monkeypatch.setattr(evaluation, "_last_ranking", None)
-    passes, ranks = [], evaluation._relevant_ranks
+    passes, rank = [], evaluation._rank_pair
 
     def counted(queries, gallery):
         passes.append((queries, gallery))
-        return ranks(queries, gallery)
-    monkeypatch.setattr(evaluation, "_relevant_ranks", counted)
+        return rank(queries, gallery)
+    monkeypatch.setattr(evaluation, "_rank_pair", counted)
     return passes
 
 

@@ -13,8 +13,8 @@ import pytest
 
 from hbct import config as cfgmod
 from hbct.cli import main
-from hbct.encoder import (ClipPolicy, TrainConfig, load_checkpoint, train_new,
-                          train_old)
+from hbct.encoder import (ClipPolicy, EncoderModel, TrainConfig, load_checkpoint,
+                          save_checkpoint, train_new, train_old)
 from hbct.errors import DegenerateBaselineError, InvalidArgumentError
 from hbct.evaluation import (EmbeddingSet, cmc_at_k, load_embedding_set,
                              save_embedding_set)
@@ -476,9 +476,8 @@ class TestGenerationCounts:
         # 3 steps: each chain's 9 pairs once; generation 0's self pair, shared by
         # both chains, again because the memo holds only the last pair
         import hbct.evaluation as ev
-        passes, ranks = [], ev._relevant_ranks
-        monkeypatch.setattr(ev, "_relevant_ranks",
-                            lambda q, g: passes.append(1) or ranks(q, g))
+        passes, rank = [], ev._rank_pair
+        monkeypatch.setattr(ev, "_rank_pair", lambda q, g: passes.append(1) or rank(q, g))
         sequential_matrix(replace(self.CFG, alignment=AlignmentConfig(lambda_align=0.3)),
                           0, metric="map")
         assert len(passes) == 18
@@ -974,3 +973,26 @@ class TestCli:
                      "--old", old, "--out", new]) == 2
         assert not os.path.exists(new)
         assert "checkpoint generation tag -1 is negative" in capsys.readouterr().err
+
+    def test_largest_generation_checkpoint_exits_2(self, tmp_path, monkeypatch, capsys):
+        # a checkpoint at tag 2**31 - 1 is valid, but its next generation's tag would
+        # not fit the header: refused before the first step, with nothing written
+        cfg_path = self._write_cfg(tmp_path)
+        cfg = cfgmod.load(cfg_path)
+        data, old, new = (str(tmp_path / name) for name in ("data.npz", "old.ckpt",
+                                                            "new.ckpt"))
+        assert main(["generate", "--config", cfg_path, "--out", data]) == 0
+        assert main(["train-old", "--config", cfg_path, "--data", data, "--out", old]) == 0
+        model, head, _, _ = load_checkpoint(old)
+        save_checkpoint(old, EncoderModel(model.layers, 2**31 - 1), head, cfg.manifold,
+                        cfg.clip)
+        import hbct.encoder as enc
+        steps, loss = [], enc.total_loss
+        monkeypatch.setattr(enc, "total_loss",
+                            lambda *a, **k: steps.append(1) or loss(*a, **k))
+        assert main(["train-new", "--config", cfg_path, "--data", data,
+                     "--old", old, "--out", new]) == 2
+        assert steps == [] and not os.path.exists(new)
+        err = capsys.readouterr().err
+        assert "generation tag must be in [0, 2**31), got 2147483648" in err
+        assert "Traceback" not in err
