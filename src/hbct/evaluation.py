@@ -111,15 +111,19 @@ class EmbeddingSet:
 _BLOCK = 1 << 14
 
 
-def _gallery_norms(gallery: EmbeddingSet):
-    """A Euclidean gallery's row norms, taken once per ranking call; None for Lorentz."""
+def _gallery_column(gallery: EmbeddingSet) -> np.ndarray:
+    """The gallery column that each query row scales, taken once per ranking call:
+    a Lorentz gallery's time coordinates, copied contiguous, or a Euclidean
+    gallery's row norms."""
+    if gallery.geometry == "lorentz":
+        return np.ascontiguousarray(gallery.points[:, 0])
     with np.errstate(over="ignore"):
-        return (None if gallery.geometry == "lorentz"
-                else np.linalg.norm(gallery.points, axis=1))
+        return np.linalg.norm(gallery.points, axis=1)
 
 
-def _distances(Q: np.ndarray, gallery: EmbeddingSet, gallery_norms) -> np.ndarray:
-    """(len(Q), len(gallery)) distances from each query row to each gallery row.
+def _distances(Q: np.ndarray, gallery: EmbeddingSet, column, out=None) -> np.ndarray:
+    """(len(Q), len(gallery)) distances from each query row to each gallery row,
+    written into ``out`` when given (every pass runs in place) and returned.
 
     The matmul over a trailing vector axis runs one gemv per query, so every
     row is bit-identical to ranking that query alone (a GEMM rounds differently
@@ -127,22 +131,30 @@ def _distances(Q: np.ndarray, gallery: EmbeddingSet, gallery_norms) -> np.ndarra
     clamped, it would read as a distance of 0.
     """
     P = gallery.points
+    if out is None:
+        out = np.empty((len(Q), len(P)))
     with np.errstate(over="ignore", invalid="ignore"):
         if gallery.geometry == "lorentz":
             K = gallery.curvature_K
-            arg = -K * (np.matmul(P[:, 1:], Q[:, 1:, None])[..., 0] - P[:, 0] * Q[:, :1])
-            products = (arg,)
+            np.matmul(P[:, 1:], Q[:, 1:, None], out=out[..., None])
+            out -= column * Q[:, :1]
+            out *= -K
+            products = (out,)
         else:
             qn = np.sqrt(np.matmul(Q[:, None, :], Q[:, :, None])[:, 0])
-            dots = np.matmul(P, Q[:, :, None])[..., 0]
-            products = (qn, gallery_norms, dots)
+            np.matmul(P, Q[:, :, None], out=out[..., None])
+            products = (qn, column, out)
     if not all(np.isfinite(a).all() for a in products):
         raise InvalidArgumentError("an inner product or norm overflows float64; "
                                    "the embeddings are too large to rank")
     if gallery.geometry == "lorentz":
-        return np.arccosh(np.maximum(arg, 1.0)) / math.sqrt(K)
-    # cosine distance for Euclidean sets
-    return 1.0 - dots / np.maximum(qn * gallery_norms, 1e-300)
+        np.maximum(out, 1.0, out=out)
+        np.arccosh(out, out=out)
+        out /= math.sqrt(K)
+    else:  # cosine distance for Euclidean sets
+        out /= np.maximum(qn * column, 1e-300)
+        np.subtract(1.0, out, out=out)
+    return out
 
 
 def retrieve(query, gallery: EmbeddingSet) -> np.ndarray:
@@ -154,7 +166,7 @@ def retrieve(query, gallery: EmbeddingSet) -> np.ndarray:
     q = EmbeddingSet(np.asarray(query, dtype=np.float64)[None], [0], gallery.geometry,
                      gallery.curvature_K)
     _check_pairing(q, gallery)
-    return np.argsort(_distances(q.points, gallery, _gallery_norms(gallery))[0],
+    return np.argsort(_distances(q.points, gallery, _gallery_column(gallery))[0],
                       kind="stable")
 
 
@@ -182,28 +194,34 @@ def _rank_pair(queries: EmbeddingSet, gallery: EmbeddingSet):
     row dropped when ``queries is gallery``.  Ranks are read per query row, with
     no gallery index sorted: an item's rank is the count of smaller distances in
     its value-sorted row, by binary search, plus the count of equal distances at
-    lower gallery indices, which runs only on rows whose distances repeat."""
-    self_mode, gn = queries is gallery, _gallery_norms(gallery)
+    lower gallery indices, which runs only on rows whose distances repeat.  The
+    relevant distances are searched in sorted order, so the ranks come out
+    ascending; the block arrays are allocated once per call and filled in place."""
+    self_mode, column = queries is gallery, _gallery_column(gallery)
     first, ap = np.full(len(queries), np.inf), np.full(len(queries), np.nan)
-    step = max(1, _BLOCK // len(gallery))
+    step = min(len(queries), max(1, _BLOCK // len(gallery)))
+    # the block arrays: the distances, their sorted copy and the label mask
+    blocks = [np.empty((step, len(gallery)), dtype) for dtype in (float, float, bool)]
     for start in range(0, len(queries), step):
-        d = _distances(queries.points[start:start + step], gallery, gn)
-        same = queries.labels[start:start + len(d), None] == gallery.labels
+        n = min(step, len(queries) - start)
+        d, s, same = (b[:n] for b in blocks)
+        _distances(queries.points[start:start + n], gallery, column, out=d)
+        np.equal(queries.labels[start:start + n, None], gallery.labels, out=same)
         if self_mode:
             # distances are finite, so +inf ranks the own row after every item
-            own = np.arange(len(d))
+            own = np.arange(n)
             d[own, start + own], same[own, start + own] = np.inf, False
-        s = np.sort(d, axis=1)
+        s[:] = d
+        s.sort(axis=1)
         tied = (s[:, 1:] == s[:, :-1]).any(axis=1)
         for i in np.flatnonzero(same.any(axis=1)):
             row, srow, rel = d[i], s[i], same[i].nonzero()[0]
-            dist = row[rel]
+            dist = np.sort(row[rel])  # sorted keys give ascending ranks
             ranks = srow.searchsorted(dist)
             if tied[i]:  # equal distances at lower gallery indices rank first
                 for v in np.unique(dist[srow.searchsorted(dist, "right") - ranks > 1]):
-                    at = dist == v
-                    ranks[at] += (row == v).nonzero()[0].searchsorted(rel[at])
-            ranks.sort()
+                    # below the next value's rank, so the ranks stay ascending
+                    ranks[dist == v] += (row == v).nonzero()[0].searchsorted(rel[row[rel] == v])
             first[start + i] = ranks[0]
             ap[start + i] = (np.arange(1, len(ranks) + 1) / (ranks + 1)).mean()
     return first, ap

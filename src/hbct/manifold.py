@@ -44,8 +44,9 @@ class ManifoldConfig:
         if not 0.0 < self.curvature_K < math.inf:
             raise InvalidArgumentError(
                 f"curvature_K must be finite and > 0, got {self.curvature_K}")
-        if self.dim_d < 1:
-            raise InvalidArgumentError(f"dim_d must be >= 1, got {self.dim_d}")
+        if not 1 <= self.dim_d < 2**32 - 1:  # a store holds the row width d + 1 as uint32
+            raise InvalidArgumentError(f"manifold.dim_d must be in [1, 2**32 - 1), "
+                                       f"got {self.dim_d}")
 
     @property
     def origin(self) -> "LorentzPoint":

@@ -57,6 +57,14 @@ class SyntheticDatasetSpec:
             raise InvalidArgumentError("class_center_scale must be finite")
         if self.seed < 0:
             raise InvalidArgumentError(f"dataset seed must be >= 0, got {self.seed}")
+        # a checkpoint holds the input width and a store its row count as uint32; with
+        # samples_per_class >= 3 the row bound also keeps labels within int32
+        if self.input_dim >= 2**32:
+            raise InvalidArgumentError(f"dataset.input_dim must be < 2**32, got "
+                                       f"{self.input_dim}")
+        if self.num_classes * self.samples_per_class >= 2**32:
+            raise InvalidArgumentError("dataset.num_classes * dataset.samples_per_class "
+                                       "rows must be < 2**32")
 
 
 @dataclass
@@ -75,8 +83,10 @@ class ScenarioSpec:
             raise InvalidArgumentError("fractions must be in (0, 1]")
         if self.n_steps < 2:  # hbct matrix runs a chain of n_steps for every kind
             raise InvalidArgumentError(f"n_steps must be >= 2, got {self.n_steps}")
-        if any(w < 1 for w in (*self.old_arch, *self.new_arch)):
-            raise InvalidArgumentError("hidden layer widths must be >= 1")
+        for key in ("old_arch", "new_arch"):  # a checkpoint holds widths as uint32
+            if any(not 1 <= w < 2**32 for w in getattr(self, key)):
+                raise InvalidArgumentError(f"scenario.{key} widths must be in [1, 2**32), "
+                                           f"got {getattr(self, key)}")
 
 
 @dataclass

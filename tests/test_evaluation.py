@@ -300,22 +300,29 @@ def row_distances(q, gallery):
     return 1.0 - (P @ q) / np.maximum(norms, 1e-300)
 
 
-def lexsort_metrics(queries, gallery, ks):
-    """CMC@k for each k and mAP (None when no query has a relevant item),
-    from a full (distance, index) sort of every query's row."""
+def lexsort_ranking(queries, gallery):
+    """Each query's first relevant rank (inf when none) and AP (NaN when none),
+    from a full (distance, index) sort of its row, computed alone."""
     index = np.arange(len(gallery))
-    hits, aps = dict.fromkeys(ks, 0), []
+    first, ap = np.full(len(queries), np.inf), np.full(len(queries), np.nan)
     for qi, (q, label) in enumerate(zip(queries.points, queries.labels)):
         order = np.lexsort((index, row_distances(q, gallery)))
         if queries is gallery:
             order = order[order != qi]
         ranks = np.flatnonzero(gallery.labels[order] == label)
-        for k in ks:
-            hits[k] += bool(len(ranks)) and ranks[0] < k
         if len(ranks):
-            aps.append(float(np.mean(np.arange(1, len(ranks) + 1) / (ranks + 1))))
-    return ({k: n / len(queries) for k, n in hits.items()},
-            float(np.mean(aps)) if aps else None)
+            first[qi] = ranks[0]
+            ap[qi] = np.mean(np.arange(1, len(ranks) + 1) / (ranks + 1))
+    return first, ap
+
+
+def lexsort_metrics(queries, gallery, ks):
+    """CMC@k for each k and mAP (None when no query has a relevant item), from
+    lexsort_ranking."""
+    first, ap = lexsort_ranking(queries, gallery)
+    aps = ap[~np.isnan(ap)]
+    return ({k: int(np.count_nonzero(first < k)) / len(queries) for k in ks},
+            float(np.mean(aps)) if len(aps) else None)
 
 
 def _rows(rng, n, dim, geometry, step):
@@ -359,6 +366,11 @@ def _line(xs, labels):
 
 
 _SELF_DUPLICATE = _line([0.0, 0.0, 1.0, -1.0], [0, 1, 0, 0])
+# 21 mirrored points: the query at 0 ties on each mirrored pair, 0.3 and 0.7 do not
+_MIRRORED = _line(np.r_[0.4 * np.arange(1, 11), -0.4 * np.arange(1, 11), 5.0],
+                  np.arange(21) % 3)
+_MIRRORED_ORIGIN = _line(np.r_[0.0, 0.4 * np.arange(1, 6), -0.4 * np.arange(1, 6), 0.3],
+                         np.arange(12) % 3)
 
 
 class TestBlockedRanking:
@@ -373,10 +385,22 @@ class TestBlockedRanking:
     # self mode: query 0's own row duplicates row 1, and queries 0 and 2 see ties
     @example(case=(_SELF_DUPLICATE, _SELF_DUPLICATE, 1))
     @example(case=(_SELF_DUPLICATE, _SELF_DUPLICATE, 1 << 14))
+    # queries 0 and 3 tie, 1 and 2 do not: blocks of 3 queries (64 // 21), the last
+    # one partial, so a tied and an untied row share the first block; then one
+    # query row per block
+    @example(case=(_line([0.0, 0.3, 0.7, 0.0], [0, 1, 2, 1]), _MIRRORED, 64))
+    @example(case=(_line([0.0, 0.3, 0.7, 0.0], [0, 1, 2, 1]), _MIRRORED, 1))
+    # self mode, one query row per block: only the row at 0 ties
+    @example(case=(_MIRRORED_ORIGIN, _MIRRORED_ORIGIN, 1))
     def test_matches_lexsort_oracle(self, case):
         queries, gallery, block = case
         ks = sorted({1, 2, 5, len(gallery)})
         cmc, mean_ap = lexsort_metrics(queries, gallery, ks)
+        with mock.patch.object(evaluation, "_BLOCK", block):
+            first, ap = evaluation._rank_pair(queries, gallery)
+        expect_first, expect_ap = lexsort_ranking(queries, gallery)
+        assert first.tobytes() == expect_first.tobytes()
+        assert ap.tobytes() == expect_ap.tobytes()
         with mock.patch.object(evaluation, "_BLOCK", block), warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # queries with no relevant item
             for k in ks:
@@ -398,9 +422,14 @@ class TestBlockedRanking:
             points, queries = (np.column_stack([np.sqrt(1.0 / K + (x ** 2).sum(axis=1)), x])
                                for x in (points, queries))
         gallery = EmbeddingSet(points, np.zeros(20000, dtype=int), geometry, K)
-        block = evaluation._distances(queries, gallery, evaluation._gallery_norms(gallery))
+        column = evaluation._gallery_column(gallery)
+        block = evaluation._distances(queries, gallery, column)
         for row, q in zip(block, queries):
             assert row.tobytes() == row_distances(q, gallery).tobytes()
+        # every pass in place, over whatever the buffer held
+        buf = np.full((16, 20000), np.nan)
+        assert evaluation._distances(queries, gallery, column, out=buf) is buf
+        assert buf.tobytes() == block.tobytes()
 
     def test_gallery_norms_taken_once_per_call(self):
         # at 20000 gallery rows every block holds one query
@@ -408,9 +437,9 @@ class TestBlockedRanking:
         gallery = EmbeddingSet(rng.normal(size=(20000, 4)), rng.integers(0, 5, 20000),
                                "euclidean")
         queries = EmbeddingSet(rng.normal(size=(6, 4)), rng.integers(0, 5, 6), "euclidean")
-        norms, calls = evaluation._gallery_norms, []
-        with mock.patch.object(evaluation, "_gallery_norms",
-                               lambda g: calls.append(g) or norms(g)):
+        column, calls = evaluation._gallery_column, []
+        with mock.patch.object(evaluation, "_gallery_column",
+                               lambda g: calls.append(g) or column(g)):
             for metric in ("cmc@1", "map"):
                 evaluate_metric(queries, gallery, metric)
             retrieve(queries.points[0], gallery)

@@ -223,6 +223,17 @@ class TestConfigRoundTrip:
         with pytest.raises(InvalidArgumentError, match="alignment.distance_kind"):
             cfgmod.parse("alignment.distance_kind = geodesic\n")
 
+    @pytest.mark.parametrize("key,largest", [
+        ("dataset.num_classes", 2**32 // 3),  # at samples_per_class = 3: < 2**32 rows
+        ("dataset.input_dim", 2**32 - 1), ("manifold.dim_d", 2**32 - 2),
+        ("scenario.old_arch", 2**32 - 1), ("scenario.new_arch", 2**32 - 1)])
+    def test_sizes_bounded_by_the_file_formats(self, key, largest):
+        # checkpoint and store headers hold sizes as uint32
+        text = "dataset.samples_per_class = 3\n{} = {}\n"
+        cfgmod.parse(text.format(key, largest))
+        with pytest.raises(InvalidArgumentError, match=key.replace(".", r"\.")):
+            cfgmod.parse(text.format(key, largest + 1))
+
     def test_serialize_golden(self):
         # the key order is the field order: each section, then output_dir and
         # seeds; an empty arch is written as "= " with its trailing space
@@ -696,6 +707,26 @@ class TestCli:
         assert main(["generate", "--config", str(path),
                      "--out", str(tmp_path / "data.npz")]) == 2
         assert main(["scenario", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize("command,line,key", [
+        ("generate", "dataset.num_classes = 10000000000000000000000", "dataset.num_classes"),
+        ("generate", "dataset.num_classes = 5000000000", "dataset.num_classes"),
+        ("train-old", "manifold.dim_d = 10000000000000000000000", "manifold.dim_d")])
+    def test_size_the_formats_cannot_hold_exits_2(self, tmp_path, capsys, command, line,
+                                                   key):
+        # refused when the config is read, before numpy is asked for the arrays
+        data = tmp_path / "data.npz"
+        assert main(["generate", "--config", self._write_cfg(tmp_path),
+                     "--out", str(data)]) == 0
+        path, out = tmp_path / "big.cfg", tmp_path / "out"
+        path.write_text(line + "\n")
+        capsys.readouterr()
+        argv = ["--config", str(path), "--out", str(out)]
+        assert main([command, *argv] + (["--data", str(data)] if command != "generate"
+                                        else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad config or input") and key in err
+        assert "Traceback" not in err and not out.exists()
 
     def test_bad_metric_and_lambdas_exit_2(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HBCT_OUTPUT_ROOT", str(tmp_path))
