@@ -96,18 +96,37 @@ class EncoderModel:
         return [a for layer in self.layers for a in layer]
 
 
+def _layer(on, h, W, b):
+    WT = W.T  # a selection of a checked value
+    hw = ad.checked(h @ WT, on[0] or on[1])
+    return ad.checked(hw + b, on[0] or on[1] or on[2]), (h, WT)
+
+
+def _layer_vjp(g, out, saved, parents):
+    h, WT = saved
+    pairs = []
+    if parents[2] is not None:                            # h @ W.T + b -> b
+        pairs.append((parents[2], g))
+    if parents[0] is not None:                            # h @ W.T -> h
+        pairs.append((parents[0], ad.matmul_vjp_a(g, None, h, WT)))
+    if parents[1] is not None:                            # -> W.T, transpose -> W
+        pairs.append((parents[1], np.transpose(ad.fit(ad.matmul_vjp_b(g, None, h, WT),
+                                                      WT.shape))))
+    return pairs
+
+
 def embed_vars(params, X, zeta, mcfg: ManifoldConfig):
     """Encoder forward pass, rescale-clip and origin expmap over the rows of X.
 
     ``params`` alternates layer weights and biases in EncoderModel.params()
     order, as plain arrays or as tape Vars; tanh sits between layers only.
-    Returns (Z, (times, spaces)).
+    Each layer, h @ W.T + b, is one tape node.  Returns (Z, (times, spaces)).
     """
     h = X
     for i in range(0, len(params), 2):
         if i:
             h = ad.tanh(h)
-        h = h @ params[i].T + params[i + 1]
+        h = ad.formula(_layer, _layer_vjp, (h, params[i], params[i + 1]))
     Z = rescale_clip(h, zeta, mcfg)
     return Z, hexpm_origin(Z, mcfg)
 

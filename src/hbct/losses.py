@@ -3,9 +3,12 @@ uncertainty-adaptive RINCE, InfoNCE / mean-distortion ablation variants, and
 the combined training loss.
 
 Each objective is written once over a batch of points ``(times (B,),
-spaces (B, d))`` with MLR head rows ``(C, d)``, using :mod:`hbct.autodiff`
-operations: the same code evaluates on plain arrays (tests, oracles) and on
-tape Vars (training).  Per-sample terms come back with the batch shape, so a
+spaces (B, d))`` with MLR head rows ``(C, d)``: the MLR logits and base loss,
+the aperture, exterior angle and entailment hinge, RINCE and the combined
+objective are fused :func:`hbct.autodiff.formula` nodes, whose one forward
+evaluates on plain arrays (tests, oracles) and records one node on a tape
+(training); InfoNCE and mean distortion compose elementary operations
+around the fused distance.  Per-sample terms come back with the batch shape, so a
 single point gives a scalar.  Points may also be given as LorentzPoints or
 lists of points (see :func:`hbct.manifold.points`).
 Per-lane branches (aperture saturation, exterior-angle clamps, degenerate head
@@ -22,9 +25,10 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import InvalidArgumentError, NumericalDomainError
-from .manifold import DEGENERATE_NORM, ManifoldConfig, hdist, hinner, points
-# re-exported: callers build batches with it
-from .manifold import hexpm_origin  # noqa: F401
+from .manifold import (DEGENERATE_NORM, ManifoldConfig, hdist, inner_backward, inner_forward,
+                       points)
+# re-exported: callers build batches and test points with them
+from .manifold import hexpm_origin, hinner  # noqa: F401
 
 Q_CLAMP_LO = 1e-3  # adaptive q is bounded away from 0 (RINCE divides by q)
 
@@ -69,6 +73,52 @@ class AlignmentConfig:
 # ---------------------------------------------------------------------------
 # Base classification loss
 
+def _logits(on, spaces, head, sqrt_K):
+    on_h = on[1]
+    rec = on[0] or on_h
+    wn0 = ad.checked(np.linalg.norm(head, axis=-1), on_h)
+    degenerate = wn0 < DEGENERATE_NORM
+    wn = ad.checked(np.where(degenerate, 1.0, wn0), on_h)
+    hT = head.T  # a selection of a checked value
+    s = ad.checked(spaces @ hT, rec)
+    wk = ad.checked(wn / sqrt_K, on_h)
+    sk = ad.checked(s * sqrt_K, rec)
+    sw = ad.checked(sk / wn, rec)
+    ash = ad.checked(np.arcsinh(sw), rec)
+    lg = ad.checked(wk * ash, rec)
+    return (ad.checked(np.where(degenerate, 0.0, lg), rec),
+            (spaces, head, sqrt_K, wn0, degenerate, wn, hT, wk, sk, sw, ash))
+
+
+def _logits_vjp(g, out, saved, parents):
+    """Pairs in the chain's order: spaces, then head through the transpose,
+    then head through the row norms."""
+    spaces, head, sqrt_K, wn0, degenerate, wn, hT, wk, sk, sw, ash = saved
+    g_lg = np.where(degenerate, 0.0, g)                  # where(degenerate, 0, lg) -> lg
+    g_sw = ad.asinh_vjp(g_lg * wk, None, sw)             # wk * ash -> ash, asinh -> sw
+    g_s = (g_sw / wn) * sqrt_K                           # sk / wn -> sk, s * sqrt_K -> s
+    pairs = []
+    if parents[0] is not None:
+        pairs.append((parents[0], ad.fit(ad.matmul_vjp_a(g_s, None, spaces, hT),
+                                         spaces.shape)))
+    if parents[1] is not None:
+        g_wn = ad.fit(ad.div_partial_b(g_sw, sk, wn), wn.shape)   # sk / wn -> wn
+        g_wn = g_wn + ad.fit(g_lg * ash, wk.shape) / sqrt_K       # wk * ash -> wk, / sqrt_K
+        g_hT = ad.fit(ad.matmul_vjp_b(g_s, None, spaces, hT), hT.shape)
+        pairs.append((parents[1], np.transpose(g_hT)))            # transpose -> head
+        g_wn0 = np.where(degenerate, 0.0, g_wn)                   # where(degenerate, 1, wn0)
+        pairs.append((parents[1], ad.norm_vjp(g_wn0, wn0, head)))  # norm -> head
+    return pairs
+
+
+def _mlr_operands(h, head):
+    _, spaces = points(h)
+    head = ad.array(head)
+    if head.ndim != 2 or len(head) == 0:
+        raise InvalidArgumentError("head must be a non-empty (classes, d) matrix")
+    return spaces, head
+
+
 def mlr_logits(h, head, mcfg: ManifoldConfig):
     """Hyperbolic MLR scores: sign(<w,h>_L) ||w||_L d(h, hyperplane_w).
 
@@ -77,34 +127,72 @@ def mlr_logits(h, head, mcfg: ManifoldConfig):
     odd function ||w|| / sqrt(K) * asinh(sqrt(K) <w_space, h_space> / ||w||).
     Degenerate rows (||w|| < DEGENERATE_NORM) score 0.  Returns (..., C).
     """
-    sqrt_K = math.sqrt(mcfg.curvature_K)
-    _, spaces = points(h)
-    head = ad.array(head)
-    if head.ndim != 2 or len(head) == 0:
-        raise InvalidArgumentError("head must be a non-empty (classes, d) matrix")
-    wn = ad.norm(head)
-    degenerate = ad.value(wn) < DEGENERATE_NORM
-    wn = ad.where(degenerate, 1.0, wn)
-    s = spaces @ head.T
-    return ad.where(degenerate, 0.0, (wn / sqrt_K) * ad.asinh(s * sqrt_K / wn))
+    return ad.formula(_logits, _logits_vjp, _mlr_operands(h, head),
+                      math.sqrt(mcfg.curvature_K))
 
 
-def base_loss(h, labels, head, mcfg: ManifoldConfig):
-    """Cross-entropy of the softmax over MLR logits at each true label."""
-    logits = mlr_logits(h, head, mcfg)
+def _base(on, spaces, head, labels, sqrt_K):
+    logits, lsaved = _logits(on, spaces, head, sqrt_K)
     labels = np.asarray(labels)
     n_classes = logits.shape[-1]
     if labels.shape != logits.shape[:-1]:
         raise InvalidArgumentError("labels must align with the batch")
     if np.any((labels < 0) | (labels >= n_classes)):
         raise InvalidArgumentError(f"label out of range for {n_classes} classes")
-    shifted = logits - ad.value(logits).max(axis=-1, keepdims=True)
-    log_probs = shifted - ad.log(ad.sum(ad.exp(shifted), -1, keepdims=True))
-    return -log_probs[(*np.indices(labels.shape, sparse=True), labels)]
+    rec = on[0] or on[1]
+    shifted = ad.checked(logits - np.maximum.reduce(logits, axis=-1, keepdims=True), rec)
+    ex = ad.checked(np.exp(shifted), rec)
+    se = ad.checked(np.add.reduce(ex, axis=-1, keepdims=True), rec)
+    log_probs = ad.checked(shifted - ad.checked(np.log(se), rec), rec)
+    key = (*np.indices(labels.shape, sparse=True), labels)
+    # the gather is a selection of a checked value
+    return ad.checked(-log_probs[key], rec), (lsaved, ex, se, log_probs, key)
+
+
+def _base_vjp(g, out, saved, parents):
+    lsaved, ex, se, log_probs, key = saved
+    g_lp = ad.getitem_vjp(-g, None, log_probs, key)       # negation, gather
+    g_se = ad.fit(-g_lp, se.shape) / se                   # shifted - log -> log, log -> se
+    g_ex = ad.sum_vjp(g_se, None, ex, -1, True)           # sum -> ex
+    g_shifted = g_lp + g_ex * ex                          # exp -> shifted, after the direct path
+    return _logits_vjp(g_shifted, None, lsaved, parents)
+
+
+def base_loss(h, labels, head, mcfg: ManifoldConfig):
+    """Cross-entropy of the softmax over MLR logits at each true label."""
+    return ad.formula(_base, _base_vjp, _mlr_operands(h, head), labels,
+                      math.sqrt(mcfg.curvature_K))
 
 
 # ---------------------------------------------------------------------------
 # Entailment cone
+
+def _aperture(on, o_spaces, c):
+    n = ad.checked(np.linalg.norm(o_spaces, axis=-1), on[0])
+    at_origin = n == 0.0
+    w = ad.checked(np.where(at_origin, 1.0, n), on[0])
+    arg = ad.checked(c / w, on[0])
+    saturated = at_origin | (arg >= 1.0)
+    safe = ad.checked(np.where(saturated, 0.0, arg), on[0])
+    angle = ad.checked(ad.arcsin(safe), on[0])
+    return (ad.checked(np.where(saturated, math.pi / 2.0, angle), on[0]),
+            (o_spaces, n, at_origin, w, saturated, safe, c))
+
+
+def _aperture_back(g, saved):
+    o_spaces, n, at_origin, w, saturated, safe, c = saved
+    g_safe = ad.asin_vjp(np.where(saturated, 0.0, g), None, safe)  # where, asin
+    g_w = ad.div_partial_b(np.where(saturated, 0.0, g_safe), c, w)  # where, c / w -> w
+    return ad.norm_vjp(np.where(at_origin, 0.0, g_w), n, o_spaces)  # where, norm
+
+
+def _aperture_vjp(g, out, saved, parents):
+    return [(parents[0], _aperture_back(g, saved))]
+
+
+def _aperture_const(cfg, mcfg):
+    return 2.0 * cfg.epsilon_aperture / math.sqrt(mcfg.curvature_K)
+
 
 def aperture(h_o, cfg: AlignmentConfig, mcfg: ManifoldConfig):
     """Half-aperture of the entailment cone at h_o.
@@ -113,38 +201,92 @@ def aperture(h_o, cfg: AlignmentConfig, mcfg: ManifoldConfig):
     is close enough to the origin (including exactly at it).
     """
     _, spaces = points(h_o)
-    n = ad.norm(spaces)
-    at_origin = ad.value(n) == 0.0
-    c = 2.0 * cfg.epsilon_aperture / math.sqrt(mcfg.curvature_K)
-    arg = c / ad.where(at_origin, 1.0, n)
-    saturated = at_origin | (ad.value(arg) >= 1.0)
-    return ad.where(saturated, math.pi / 2.0, ad.asin(ad.where(saturated, 0.0, arg)))
+    return ad.formula(_aperture, _aperture_vjp, (spaces,), _aperture_const(cfg, mcfg))
+
+
+def _exterior(on, o_times, o_spaces, n_times, n_spaces, K):
+    rec = on[0] or on[1] or on[2] or on[3]
+    o_norm = ad.checked(np.linalg.norm(o_spaces, axis=-1), on[1])
+    if np.any(o_norm == 0.0):
+        raise NumericalDomainError("exterior angle undefined at the origin")
+    inner, isaved = inner_forward(on, o_times, o_spaces, n_times, n_spaces)
+    c = ad.checked(inner * K, rec)
+    num = ad.checked(n_times + ad.checked(o_times * c, rec), rec)
+    sq = ad.checked(ad.checked(c * c, rec) - 1.0, rec)
+    # clamp; the gradient through clamped lanes is dropped
+    clamped = sq < 1e-12
+    root = ad.checked(np.sqrt(ad.checked(np.where(clamped, 1e-12, sq), rec)), rec)
+    den = ad.checked(o_norm * root, rec)
+    arg = ad.checked(num / den, rec)
+    inside = np.abs(arg) < 1.0
+    safe = ad.checked(np.where(inside, arg, 0.0), rec)
+    angle = ad.checked(ad.arccos(safe), rec)
+    ext = ad.checked(np.where(inside, angle, np.where(arg >= 1.0, 0.0, math.pi)), rec)
+    return ext, (o_times, o_spaces, n_times, o_norm, isaved, K, c, num, clamped, root,
+                 den, inside, safe)
+
+
+def _exterior_back(g, saved, parents, pairs):
+    """Append the exterior angle's (parent, contribution) pairs, in the chain's order."""
+    (o_times, o_spaces, n_times, o_norm, isaved, K, c, num, clamped, root, den, inside,
+     safe) = saved
+    on = [p is not None for p in parents]
+    g_safe = ad.acos_vjp(np.where(inside, g, 0.0), None, safe)  # where, acos
+    g_arg = np.where(inside, g_safe, 0.0)                  # where(inside, arg, 0) -> arg
+    g_num = g_arg / den                                    # num / den -> num
+    g_den = ad.div_partial_b(g_arg, num, den)              # -> den
+    g_sq = np.where(clamped, 0.0, (g_den * o_norm) * (0.5 / root))  # o_norm * root, sqrt, where
+    g_c = g_sq * c                                         # c * c - 1 -> c, twice
+    g_c = g_c + g_sq * c
+    if on[2]:
+        pairs.append((parents[2], ad.fit(g_num, n_times.shape)))  # n_t + o_t * c -> n_t
+    if on[0]:
+        pairs.append((parents[0], ad.fit(g_num * c, o_times.shape)))  # o_t * c -> o_t
+    g_c = g_c + g_num * o_times                            # -> c
+    c_ot, c_os, c_nt, c_ns = inner_backward(g_c * K, isaved, on)  # inner * K -> inner
+    ad.emit(pairs, (parents[0], parents[2], parents[1], parents[3]), (c_ot, c_nt, c_os, c_ns))
+    if on[1]:
+        pairs.append((parents[1], ad.norm_vjp(g_den * root, o_norm, o_spaces)))
+
+
+def _exterior_vjp(g, out, saved, parents):
+    pairs = []
+    _exterior_back(g, saved, parents, pairs)
+    return pairs
+
+
+def _cone_operands(h_o, h_n):
+    return (*points(h_o), *points(h_n))
 
 
 def exterior_angle(h_o, h_n, cfg: AlignmentConfig, mcfg: ManifoldConfig):
     """Exterior angle at h_o of the geodesic triangle (origin, h_o, h_n)."""
-    K = mcfg.curvature_K
-    o_times, o_spaces = points(h_o)
-    n_times, _ = points(h_n)
-    o_norm = ad.norm(o_spaces)
-    if np.any(ad.value(o_norm) == 0.0):
-        raise NumericalDomainError("exterior angle undefined at the origin")
-    c = hinner(h_o, h_n) * K
-    num = n_times + o_times * c
-    sq = c * c - 1.0
-    # clamp; the gradient through clamped lanes is dropped
-    sq = ad.where(ad.value(sq) < 1e-12, 1e-12, sq)
-    arg = num / (o_norm * ad.sqrt(sq))
-    v = ad.value(arg)
-    inside = np.abs(v) < 1.0
-    return ad.where(inside, ad.acos(ad.where(inside, arg, 0.0)),
-                    np.where(v >= 1.0, 0.0, math.pi))
+    return ad.formula(_exterior, _exterior_vjp, _cone_operands(h_o, h_n), mcfg.curvature_K)
+
+
+def _entail(on, o_times, o_spaces, n_times, n_spaces, K, c):
+    ext, esaved = _exterior(on, o_times, o_spaces, n_times, n_spaces, K)
+    ap, asaved = _aperture(on[1:2], o_spaces, c)
+    rec = on[0] or on[1] or on[2] or on[3]
+    v = ad.checked(ext - ap, rec)
+    outside = v > 0.0
+    return ad.checked(np.where(outside, v, 0.0), rec), (esaved, asaved, outside)
+
+
+def _entail_vjp(g, out, saved, parents):
+    esaved, asaved, outside = saved
+    g_v = np.where(outside, g, 0.0)                        # the hinge
+    pairs = []
+    if parents[1] is not None:                             # ext - ap -> ap, aperture
+        pairs.append((parents[1], _aperture_back(-g_v, asaved)))
+    _exterior_back(g_v, esaved, parents, pairs)            # -> ext, exterior angle
+    return pairs
 
 
 def entailment_loss(h_n, h_o, cfg: AlignmentConfig, mcfg: ManifoldConfig):
     """Hinge on how far h_n pokes outside h_o's entailment cone."""
-    v = exterior_angle(h_o, h_n, cfg, mcfg) - aperture(h_o, cfg, mcfg)
-    return ad.where(ad.value(v) > 0.0, v, 0.0)
+    return ad.formula(_entail, _entail_vjp, _cone_operands(h_o, h_n), mcfg.curvature_K,
+                      _aperture_const(cfg, mcfg))
 
 
 # ---------------------------------------------------------------------------
@@ -159,15 +301,34 @@ def _aligned(batch_new, batch_old, min_size):
     return new, old
 
 
-def _distance_matrix(new, old, mcfg):
-    """D[i, j] = d(new_i, old_j), the geodesic distance, over the whole batch."""
-    (n_times, n_spaces), (o_times, o_spaces) = new, old
-    return hdist((n_times[:, None], n_spaces[:, None, :]), (o_times, o_spaces), mcfg)
-
-
 def _diagonal(D):
     idx = np.arange(D.shape[0])
     return D[idx, idx]
+
+
+def _rince(on, D, q, tau, beta):
+    idx = np.arange(D.shape[0])
+    c_pos, c_neg = -q / tau, -1.0 / tau
+    # the diagonal is a selection of a checked value
+    pos = ad.checked(np.exp(ad.checked(D[idx, idx] * c_pos, on[0])), on[0])
+    e = ad.checked(np.exp(ad.checked(D * c_neg, on[0])), on[0])
+    neg = ad.checked(np.add.reduce(e, axis=-1), on[0])
+    t_pos = ad.checked(ad.checked(-pos, on[0]) / q, on[0])
+    scaled = ad.checked(neg * beta, on[0])
+    t_neg = ad.checked(ad.checked(np.power(scaled, q), on[0]) / q, on[0])
+    terms = ad.checked(t_pos + t_neg, on[0])
+    m, msaved = ad.mean_forward(on, terms)
+    return m, (D, idx, q, c_pos, c_neg, pos, e, beta, scaled, msaved)
+
+
+def _rince_vjp(g, out, saved, parents):
+    D, idx, q, c_pos, c_neg, pos, e, beta, scaled, msaved = saved
+    g_terms = ad.mean_backward(g, msaved)
+    g_scaled = (g_terms / q) * (q * scaled ** (q - 1.0))  # / q, powr
+    g_e = ad.sum_vjp(g_scaled * beta, None, e, -1)         # * beta, sum over j
+    g_pos = -(g_terms / q)                                 # / q, negation
+    return [(parents[0], ((g_e * e) * c_neg)),             # exp, D * c_neg -> D
+            (parents[0], ad.getitem_vjp((g_pos * pos) * c_pos, None, D, (idx, idx)))]
 
 
 def contrastive_loss(batch_new, batch_old, uncertainties_old, cfg: AlignmentConfig,
@@ -189,16 +350,14 @@ def contrastive_loss(batch_new, batch_old, uncertainties_old, cfg: AlignmentConf
         q = np.clip(np.asarray(uncertainties_old, dtype=np.float64), Q_CLAMP_LO, 1.0)
     else:
         q = np.full(n, cfg.q_fixed)
-    D = _distance_matrix(new, old, mcfg)
-    pos = ad.exp(_diagonal(D) * (-q / cfg.tau))
-    neg = ad.sum(ad.exp(D * (-1.0 / cfg.tau)), -1)
-    return ad.mean(-pos / q + ad.powr(neg * cfg.beta, q) / q)
+    D = hdist(new, old, mcfg, outer=True)
+    return ad.formula(_rince, _rince_vjp, (D,), q, cfg.tau, cfg.beta)
 
 
 def infonce_loss(batch_new, batch_old, cfg: AlignmentConfig, mcfg: ManifoldConfig):
     """Standard softmax contrastive loss over the geodesic distance D_ij."""
     new, old = _aligned(batch_new, batch_old, 2)
-    D = _distance_matrix(new, old, mcfg)
+    D = hdist(new, old, mcfg, outer=True)
     return ad.mean(_diagonal(D) / cfg.tau
                    + ad.log(ad.sum(ad.exp(D * (-1.0 / cfg.tau)), -1)))
 
@@ -222,6 +381,21 @@ def contrast_term(batch_new, batch_old, uncertainties_old, cfg: AlignmentConfig,
 # ---------------------------------------------------------------------------
 # Combined objective
 
+def _combined(on, base, entail, contrast, lambda_entail, lambda_align):
+    on_align = on[1] or on[2]
+    t = ad.checked(ad.checked(entail * lambda_entail, on[1]) + contrast, on_align)
+    t = ad.checked(t * lambda_align, on_align)
+    return ad.checked(base + t, on[0] or on_align), (lambda_entail, lambda_align)
+
+
+def _combined_vjp(g, out, saved, parents):
+    lambda_entail, lambda_align = saved
+    g_t = g * lambda_align
+    pairs = []
+    ad.emit(pairs, (parents[0], parents[2], parents[1]), (g, g_t, g_t * lambda_entail))
+    return pairs
+
+
 def total_loss(batch_new, labels, batch_old, uncertainties_old, head,
                cfg: AlignmentConfig, mcfg: ManifoldConfig):
     """L = mean L_base + lambda * (lambda_entail * mean L_entail + L_contrast).
@@ -234,4 +408,5 @@ def total_loss(batch_new, labels, batch_old, uncertainties_old, head,
         return base
     entail = ad.mean(entailment_loss(batch_new, batch_old, cfg, mcfg))
     contrast = contrast_term(batch_new, batch_old, uncertainties_old, cfg, mcfg)
-    return base + (entail * cfg.lambda_entail + contrast) * cfg.lambda_align
+    return ad.formula(_combined, _combined_vjp, (base, entail, contrast), cfg.lambda_entail,
+                      cfg.lambda_align)

@@ -7,9 +7,11 @@ All operations work in float64 and keep results on-manifold to ~1e-9.
 
 The formulas are written once over batches of points held as a pair
 ``(times, spaces)``: ``times`` has the batch shape and ``spaces`` one more
-trailing axis of length d, so a single point is the empty batch shape.  They
-are built from :mod:`hbct.autodiff` operations, so training differentiates
-the same code that embedding and evaluation run on plain arrays.  The
+trailing axis of length d, so a single point is the empty batch shape.  The
+inner product, the distance, the origin expmap and the norm clip are fused
+:func:`hbct.autodiff.formula` nodes: one forward, run on plain arrays by
+embedding and evaluation and recorded as one tape node by training, and a
+VJP that mirrors the chain of elementary operations it replaces.  The
 per-point API (``expm_origin``, ``geodesic_distance``, ``uncertainty``, ...)
 validates its inputs and calls the batched forms.
 
@@ -94,17 +96,156 @@ def points(x):
             np.array([s for _, s in pairs], dtype=np.float64))
 
 
+def inner_forward(on, xt, xs, yt, ys):
+    """<x, y>_L = sum(xs * ys, -1) - xt * yt as its four elementary steps.
+
+    ``on`` flags which of (xt, xs, yt, ys) sit on a tape; each step is checked
+    when it depends on one of them.  Returns (inner, saved).
+    """
+    on_s, on_t = on[1] or on[3], on[0] or on[2]
+    p = ad.checked(xs * ys, on_s)
+    s = ad.checked(np.add.reduce(p, axis=-1), on_s)
+    tt = ad.checked(xt * yt, on_t)
+    return ad.checked(s - tt, on_s or on_t), (xt, xs, yt, ys, p, s, tt)
+
+
+def inner_backward(g, saved, on):
+    """Adjoints of inner_forward's steps: contributions to (xt, xs, yt, ys),
+    None where ``on`` is False.  The chain emits them in the order xt, yt,
+    xs, ys."""
+    xt, xs, yt, ys, p, s, tt = saved
+    c_xt = c_xs = c_yt = c_ys = None
+    if on[0] or on[2]:
+        g_tt = ad.fit(-g, tt.shape)                      # s - tt -> tt
+        if on[0]:
+            c_xt = ad.fit(g_tt * yt, xt.shape)           # xt * yt -> xt
+        if on[2]:
+            c_yt = ad.fit(g_tt * xt, yt.shape)           # -> yt
+    if on[1] or on[3]:
+        g_p = ad.sum_vjp(ad.fit(g, s.shape), None, p, -1)  # s - tt -> s, sum -> p
+        if on[1]:
+            c_xs = ad.fit(g_p * ys, xs.shape)            # xs * ys -> xs
+        if on[3]:
+            c_ys = ad.fit(g_p * xs, ys.shape)            # -> ys
+    return c_xt, c_xs, c_yt, c_ys
+
+
+def _inner_vjp(g, out, saved, parents):
+    c_xt, c_xs, c_yt, c_ys = inner_backward(g, saved, [p is not None for p in parents])
+    pairs = []
+    ad.emit(pairs, (parents[0], parents[2], parents[1], parents[3]), (c_xt, c_yt, c_xs, c_ys))
+    return pairs
+
+
 def hinner(x, y):
     """Lorentzian inner product <x, y>_L, broadcast over the batch."""
     xt, xs = points(x)
     yt, ys = points(y)
-    return ad.sum(xs * ys, -1) - xt * yt
+    return ad.formula(inner_forward, _inner_vjp, (xt, xs, yt, ys))
 
 
-def hdist(x, y, mcfg: ManifoldConfig):
-    """Geodesic distance d(x, y) = (1/sqrt(K)) * acosh(-K * <x, y>_L)."""
-    K = mcfg.curvature_K
-    return ad.acosh(hinner(x, y) * -K) / math.sqrt(K)
+# x[i] against every y[j]: the selections x_t[:, None] and x_s[:, None, :]
+_OUTER_T = (slice(None), None)
+_OUTER_S = (slice(None), None, slice(None))
+
+
+def _dist(on, xt, xs, yt, ys, K, outer):
+    x = xt, xs
+    if outer:  # selections of checked values, so always finite
+        xt, xs = xt[_OUTER_T], xs[_OUTER_S]
+    inner, saved = inner_forward(on, xt, xs, yt, ys)
+    rec = on[0] or on[1] or on[2] or on[3]
+    arg = ad.checked(inner * -K, rec)
+    ac = ad.checked(ad.arccosh(arg), rec)
+    return ad.checked(ac / math.sqrt(K), rec), (x, saved, arg, K, outer)
+
+
+def _dist_vjp(g, out, saved, parents):
+    (xt, xs), isaved, arg, K, outer = saved
+    g_arg = ad.acosh_vjp(g / math.sqrt(K), None, arg)       # / sqrt(K), acosh
+    on = [p is not None for p in parents]
+    c_xt, c_xs, c_yt, c_ys = inner_backward(g_arg * -K, isaved, on)  # * -K, inner
+    pairs = []
+    if not outer:
+        ad.emit(pairs, (parents[0], parents[2], parents[1], parents[3]),
+                (c_xt, c_yt, c_xs, c_ys))
+        return pairs
+    # the selections of x precede the inner product on the chain, so come last
+    ad.emit(pairs, (parents[2], parents[3]), (c_yt, c_ys))
+    if on[1]:
+        pairs.append((parents[1], ad.getitem_vjp(c_xs, None, xs, _OUTER_S)))
+    if on[0]:
+        pairs.append((parents[0], ad.getitem_vjp(c_xt, None, xt, _OUTER_T)))
+    return pairs
+
+
+def hdist(x, y, mcfg: ManifoldConfig, outer=False):
+    """Geodesic distance d(x, y) = (1/sqrt(K)) * acosh(-K * <x, y>_L).
+
+    With ``outer``, x and y are batches with one leading axis and the result
+    is the matrix D[i, j] = d(x_i, y_j).
+    """
+    xt, xs = points(x)
+    yt, ys = points(y)
+    return ad.formula(_dist, _dist_vjp, (xt, xs, yt, ys), mcfg.curvature_K, outer)
+
+
+# The origin expmap records five nodes, one per run of the chain whose
+# intermediates no other run reads: a = sqrt(K)||z||, the sinh(a)/a
+# coefficient, the time cosh(a)/sqrt(K), and the scaled rows.
+
+def _expm_arg(on, z, sqrt_K):
+    n = ad.checked(np.linalg.norm(z, axis=-1), on[0])
+    return ad.checked(n * sqrt_K, on[0]), (z, n, sqrt_K)
+
+
+def _expm_arg_vjp(g, out, saved, parents):
+    z, n, sqrt_K = saved
+    return [(parents[0], ad.norm_vjp(g * sqrt_K, n, z))]
+
+
+# The forwards below free each temporary where the chain did, before the next
+# allocation: on 100 000 plain rows a longer-lived temporary moves the heap
+# layout that later allocations land in.  A VJP recomputes such a temporary.
+
+def _sinhc(on, a, series):
+    safe = ad.checked(np.where(series, 1.0, a), on[0])
+    q = ad.checked(ad.checked(np.sinh(safe), on[0]) / safe, on[0])
+    return ad.checked(np.where(series, 1.0, q), on[0]), (series, safe)
+
+
+def _sinhc_vjp(g, out, saved, parents):
+    series, safe = saved
+    g_q = np.where(series, 0.0, g)                        # where(series, 1, q) -> q
+    g_safe = ad.div_partial_b(g_q, np.sinh(safe), safe)   # sinh(safe) / safe -> safe
+    g_safe = g_safe + (g_q / safe) * np.cosh(safe)        # -> sinh(safe), sinh -> safe
+    return [(parents[0], np.where(series, 0.0, g_safe))]  # where(series, 1, a) -> a
+
+
+def _cosh_scaled(on, a, sqrt_K):
+    ch = ad.checked(np.cosh(a), on[0])
+    return ad.checked(ch / sqrt_K, on[0]), (a, sqrt_K)
+
+
+def _cosh_scaled_vjp(g, out, saved, parents):
+    a, sqrt_K = saved
+    return [(parents[0], (g / sqrt_K) * np.sinh(a))]
+
+
+def _scale_rows(on, coeff, z):
+    ce = coeff[..., None]  # a selection of a checked value
+    return ad.checked(ce * z, on[0] or on[1]), (coeff, ce, z)
+
+
+def _scale_rows_vjp(g, out, saved, parents):
+    coeff, ce, z = saved
+    pairs = []
+    if parents[1] is not None:
+        pairs.append((parents[1], ad.fit(g * ce, z.shape)))
+    if parents[0] is not None:
+        g_ce = ad.fit(g * z, ce.shape)
+        pairs.append((parents[0], ad.getitem_vjp(g_ce, None, coeff, (Ellipsis, None))))
+    return pairs
 
 
 def hexpm_origin(z, mcfg: ManifoldConfig):
@@ -116,21 +257,38 @@ def hexpm_origin(z, mcfg: ManifoldConfig):
     """
     sqrt_K = math.sqrt(mcfg.curvature_K)
     z = ad.array(z)
-    a = sqrt_K * ad.norm(z)
-    series = ad.value(a) < SERIES_EPS
-    safe = ad.where(series, 1.0, a)
-    coeff = ad.where(series, 1.0, ad.sinh(safe) / safe)
-    return ad.cosh(a) / sqrt_K, coeff[..., None] * z
+    a = ad.formula(_expm_arg, _expm_arg_vjp, (z,), sqrt_K)
+    coeff = ad.formula(_sinhc, _sinhc_vjp, (a,), ad.value(a) < SERIES_EPS)
+    times = ad.formula(_cosh_scaled, _cosh_scaled_vjp, (a,), sqrt_K)
+    return times, ad.formula(_scale_rows, _scale_rows_vjp, (coeff, z))
+
+
+def _rescale_clip(on, z, zeta, sqrt_d):
+    z = ad.checked(z / sqrt_d, on[0])
+    n = ad.checked(np.linalg.norm(z, axis=-1, keepdims=True), on[0])
+    over = n > zeta
+    r = ad.checked(zeta / ad.checked(np.where(over, n, 1.0), on[0]), on[0])
+    w2 = ad.checked(np.where(over, r, 1.0), on[0])
+    del r
+    return ad.checked(z * w2, on[0]), (z, n, over, w2, zeta, sqrt_d)
+
+
+def _rescale_clip_vjp(g, out, saved, parents):
+    z, n, over, w2, zeta, sqrt_d = saved
+    g_z = g * w2                                          # z * w2 -> z
+    g_w2 = ad.fit(g * z, w2.shape)                        # -> w2
+    g_w1 = ad.div_partial_b(np.where(over, g_w2, 0.0), zeta,
+                            np.where(over, n, 1.0))       # where, zeta / where(over, n, 1)
+    g_z = g_z + ad.norm_vjp(np.where(over, g_w1, 0.0), n, z, True)  # where, norm -> z
+    return [(parents[0], g_z / sqrt_d)]                   # h / sqrt(d) -> h
 
 
 def rescale_clip(z, zeta: float, cfg: ManifoldConfig):
     """Rescale embeddings (rows of z) by 1/sqrt(d), then clip each norm at zeta."""
     if not (zeta > 0):
         raise InvalidArgumentError(f"zeta must be > 0, got {zeta}")
-    z = ad.array(z) / math.sqrt(cfg.dim_d)
-    n = ad.norm(z, keepdims=True)
-    over = ad.value(n) > zeta
-    return z * ad.where(over, zeta / ad.where(over, n, 1.0), 1.0)
+    return ad.formula(_rescale_clip, _rescale_clip_vjp, (ad.array(z),), zeta,
+                      math.sqrt(cfg.dim_d))
 
 
 def uncertainty(x, cfg: ManifoldConfig):

@@ -295,7 +295,8 @@ def run_variants(cfg: ExperimentConfig, seed: int, variants,
     for metric in metrics:
         parse_metric(metric)  # a bad name fails before any training
     if cfg.scenario.kind == "sequential":
-        raise InvalidArgumentError("a sequential chain has no single update; use run_matrix")
+        raise InvalidArgumentError("a sequential chain has no single update; run "
+                                   "`hbct matrix` on this config instead")
     ds = _seeded(cfg, seed)
     old = _fit(cfg, ds, seed)
     star, news = _update(cfg, ds, seed, old, variants)

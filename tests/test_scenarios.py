@@ -943,6 +943,21 @@ class TestCli:
                      "--metric", "map", "--out", str(out)]) == 0
         assert "lambda" in out.read_text()
 
+    @pytest.mark.parametrize("argv", [["scenario", "--metrics", "map"],
+                                      ["sweep", "--metric", "map", "--lambdas", "0,0.3",
+                                       "--out", "sweep.txt"]])
+    def test_sequential_update_points_to_matrix(self, tmp_path, monkeypatch, capsys, argv):
+        # a sequential chain has no single update: both commands exit 2 before
+        # training, name the command that runs the chain and write nothing
+        monkeypatch.setenv("HBCT_OUTPUT_ROOT", str(tmp_path))
+        monkeypatch.chdir(tmp_path)
+        cfg_path = self._write_cfg(tmp_path, scenario=ScenarioSpec(kind="sequential"))
+        assert main(argv + ["--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad config or input") and "`hbct matrix`" in err
+        assert "Traceback" not in err and "run_matrix" not in err
+        assert sorted(os.listdir(tmp_path)) == ["exp.cfg"]
+
     @pytest.mark.parametrize("n_steps", [0, 1])
     def test_matrix_needs_two_steps(self, tmp_path, monkeypatch, capsys, n_steps):
         # hbct matrix runs the chain on any kind, such as this ext_class config
