@@ -393,26 +393,26 @@ def sum(x, axis=None, keepdims=False):
     return _apply(_sum, (sum_vjp, None, None), x, axis, keepdims)
 
 
-def mean_forward(on, v):
+def mean_forward(on, v, axis=None):
     """The mean as its two elementary steps, the sum and one division by the count."""
-    n = np.size(v)
-    s = checked(_add_reduce(v, axis=None), on[0])
-    return checked(s / n, on[0]), (v, n)
+    n = np.size(v) if axis is None else v.shape[axis]
+    s = checked(_add_reduce(v, axis=axis), on[0])
+    return checked(s / n, on[0]), (v, n, axis)
 
 
 def mean_backward(g, saved):
     """Adjoint of mean_forward with respect to its operand."""
-    v, n = saved
-    return sum_vjp(g / n, None, v)
+    v, n, axis = saved
+    return sum_vjp(g / n, None, v, axis)
 
 
 def _mean_vjp(g, out, saved, parents):
     return [(parents[0], mean_backward(g, saved))]
 
 
-def mean(x):
-    """Mean over every entry: the sum, then one division by the count."""
-    return formula(mean_forward, _mean_vjp, (x,))
+def mean(x, axis=None):
+    """Mean over every entry, or along ``axis``: the sum, then one division by the count."""
+    return formula(mean_forward, _mean_vjp, (x,), axis)
 
 
 def _norm(v, keepdims):
@@ -433,17 +433,17 @@ def norm(x, keepdims=False):
 def matmul_vjp_a(g, out, a, b):
     if np.ndim(b) == 1:
         return np.multiply.outer(g, b)
-    return g @ np.transpose(b)
+    return g @ np.swapaxes(b, -1, -2)
 
 
 def matmul_vjp_b(g, out, a, b):
     if np.ndim(a) == 1:
         return np.multiply.outer(a, g)
-    return np.transpose(a) @ g
+    return np.swapaxes(a, -1, -2) @ g
 
 
 def matmul(a, b):
-    """a @ b for operands of at most two dimensions."""
+    """a @ b; the VJPs also serve stacks of matrices, as in a stack of models."""
     return _apply(np.matmul, (matmul_vjp_a, matmul_vjp_b), a, b)
 
 
@@ -467,6 +467,24 @@ def getitem_vjp(g, out, v, key):
 
 def getitem(x, key):
     return _apply(_getitem, (getitem_vjp, None), x, key)
+
+
+def _pick(on, v, m):
+    return v[m], (v.shape, m)  # a selection of a checked value
+
+
+def _pick_vjp(g, out, saved, parents):
+    shape, m = saved
+    # the other models' entries are -0.0, the exact additive identity (+0.0 would
+    # turn a -0.0 sum into +0.0), so they add to their adjoints as nothing at all
+    full = np.full(shape, -0.0)
+    full[m] = g
+    return [(parents[0], full)]
+
+
+def pick(x, m):
+    """Model m of a stack, x[m] along the leading axis."""
+    return formula(_pick, _pick_vjp, (x,), m)
 
 
 def _reshape_vjp(g, out, v, shape):

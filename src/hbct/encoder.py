@@ -7,6 +7,13 @@ arrays for embedding and evaluation, on array tape Vars (one leaf per
 parameter array) for training.  Training is bit-reproducible for a fixed
 seed.  Old-model embeddings are computed once up front (the old model is
 frozen) and enter the new model's loss as constants.
+
+Models that share a generation's data, init and batch order (an update's
+star and its aligned variants) train as one stack: every parameter gains a
+leading model axis, numpy runs one call per layer for the whole stack, and
+one flat buffer holds every model's parameters for the SGD update.  A batched
+matmul runs one BLAS call per model, the call a single model makes, so each
+model keeps its bits.
 """
 
 from __future__ import annotations
@@ -19,10 +26,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tape
-from .errors import InvalidArgumentError, TrainingFailureError, NumericalDomainError
+from .errors import HbctError, InvalidArgumentError, NumericalDomainError, TrainingFailureError
 from .evaluation import check_generation_tag
-from .losses import AlignmentConfig, total_loss
+from .losses import AlignmentConfig, stack_loss, total_loss
 from .manifold import ManifoldConfig, hexpm_origin, rescale_clip, uncertainty
+
+_add_reduce = np.add.reduce
 
 CHECKPOINT_MAGIC = b"HBCT"
 CHECKPOINT_VERSION = 1
@@ -97,21 +106,22 @@ class EncoderModel:
 
 
 def _layer(on, h, W, b):
-    WT = W.T  # a selection of a checked value
+    WT = np.swapaxes(W, -1, -2)  # a selection of a checked value
     hw = ad.checked(h @ WT, on[0] or on[1])
-    return ad.checked(hw + b, on[0] or on[1] or on[2]), (h, WT)
+    # b[..., None, :] is a selection of a checked value: each model's bias over its rows
+    return ad.checked(hw + b[..., None, :], on[0] or on[1] or on[2]), (h, WT)
 
 
 def _layer_vjp(g, out, saved, parents):
     h, WT = saved
     pairs = []
     if parents[2] is not None:                            # h @ W.T + b -> b
-        pairs.append((parents[2], g))
+        pairs.append((parents[2], _add_reduce(g, axis=-2)))
     if parents[0] is not None:                            # h @ W.T -> h
         pairs.append((parents[0], ad.matmul_vjp_a(g, None, h, WT)))
     if parents[1] is not None:                            # -> W.T, transpose -> W
-        pairs.append((parents[1], np.transpose(ad.fit(ad.matmul_vjp_b(g, None, h, WT),
-                                                      WT.shape))))
+        pairs.append((parents[1], np.swapaxes(ad.fit(ad.matmul_vjp_b(g, None, h, WT),
+                                                     WT.shape), -1, -2)))
     return pairs
 
 
@@ -120,7 +130,9 @@ def embed_vars(params, X, zeta, mcfg: ManifoldConfig):
 
     ``params`` alternates layer weights and biases in EncoderModel.params()
     order, as plain arrays or as tape Vars; tanh sits between layers only.
-    Each layer, h @ W.T + b, is one tape node.  Returns (Z, (times, spaces)).
+    Each layer, h @ W.T + b, is one tape node.  A stack of models gives every
+    parameter a leading model axis; the rows of X are shared by the stack, and
+    each output gains the same leading axis.  Returns (Z, (times, spaces)).
     """
     h = X
     for i in range(0, len(params), 2):
@@ -144,10 +156,40 @@ def embed_batch(model: EncoderModel, X, policy: ClipPolicy, mcfg: ManifoldConfig
 # ---------------------------------------------------------------------------
 # Training
 
-def _train(X, y, num_classes, arch, mcfg, policy, tcfg, align_cfg=None, old_model=None):
-    """Train generation 0 when ``old_model`` is None, else the generation after it."""
-    if align_cfg is None:
-        align_cfg = AlignmentConfig(lambda_align=0.0)
+def _views(buf, shapes):
+    """One view per shape into the last axis of buf, in order, each with buf's
+    leading axes in front."""
+    lead, views, off = buf.shape[:-1], [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        views.append(buf[..., off:off + n].reshape(*lead, *shape))
+        off += n
+    return views
+
+
+_RAISE = {"over": "raise", "divide": "raise", "invalid": "raise"}
+
+
+def _backprop(params, grads, shapes, X, y, old, cfgs, zeta, mcfg, step):
+    """The losses of one step of the models whose parameter rows are ``params``,
+    under ``cfgs``; their gradients go to the rows of ``grads``.  A stack of one
+    model trains on its plain parameter arrays."""
+    models = slice(None) if len(cfgs) > 1 else 0
+    tape = Tape()
+    leaves = [tape.var(p) for p in _views(params[models], shapes)]
+    try:
+        _, batch_new = embed_vars(leaves[:-1], X, zeta, mcfg)
+        loss = (stack_loss(batch_new, y, *old, leaves[-1], cfgs, mcfg) if len(cfgs) > 1
+                else total_loss(batch_new, y, *old, leaves[-1], cfgs[0], mcfg))
+    except NumericalDomainError as e:
+        raise TrainingFailureError(f"loss diverged at step {step}: {e}", step=step) from e
+    adjoints = ad.backward(tape, loss)
+    for view, leaf in zip(_views(grads[models], shapes), leaves):
+        view[...] = 0.0 if adjoints[leaf.idx] is None else adjoints[leaf.idx]
+    return np.atleast_1d(loss.val)
+
+
+def _train_stack(X, y, num_classes, arch, mcfg, policy, tcfg, aligns, old_model):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or len(X) == 0:
@@ -164,67 +206,107 @@ def _train(X, y, num_classes, arch, mcfg, policy, tcfg, align_cfg=None, old_mode
     model = EncoderModel.init(X.shape[1], arch, mcfg.dim_d, rng, generation)
     head = rng.normal(0.0, 0.1, size=(num_classes, mcfg.dim_d))
 
-    aligned = align_cfg.lambda_align > 0.0
-    if aligned:
+    unaligned = np.array([align.lambda_align == 0.0 for align in aligns])
+    if not unaligned.all():
         if min(tcfg.batch_size, len(X)) < 2:
             raise InvalidArgumentError("aligned training needs batches of at least 2 "
                                        "rows; the contrastive loss pairs rows")
-        # old model is frozen: embed the whole training set once, as constants
-        _, old_times, old_spaces, old_unc = embed_batch(old_model, X, policy, mcfg)
+        # old model is frozen: embed the whole training set once, as constants.  A
+        # stack of several models does so before its first model steps, so what numpy
+        # would warn of raises, and the models train one at a time instead
+        with np.errstate(**({} if len(aligns) == 1 else _RAISE)):
+            _, old_times, old_spaces, old_unc = embed_batch(old_model, X, policy, mcfg)
     zeta = policy.zeta(generation)
 
-    arrays = model.params() + [head]
-    vel = [np.zeros_like(a) for a in arrays]
-    epoch_losses = []
+    # one row per model of every parameter array and the head, flattened in order;
+    # an SGD step updates and checks the whole buffer at once
+    init = model.params() + [head]
+    shapes = [a.shape for a in init]
+    params = np.tile(np.concatenate([a.ravel() for a in init]), (len(aligns), 1))
+    vel = np.zeros_like(params)
+    grads = np.empty_like(params)
+    everyone = np.arange(len(aligns))
+    epoch_losses = [[] for _ in aligns]
     step = 0
     for epoch in range(tcfg.epochs):
         # cosine annealing from the full rate at epoch 0
         lr = tcfg.learning_rate * 0.5 * (1.0 + math.cos(math.pi * epoch / tcfg.epochs))
         perm = rng.permutation(len(X))
-        losses = []
+        losses = [[] for _ in aligns]
         for start in range(0, len(X), tcfg.batch_size):
             idx = perm[start:start + tcfg.batch_size]
-            if aligned and len(idx) < 2:
-                continue  # a 1-row tail batch: contrastive loss needs >= 2 pairs
-            tape = Tape()
-            leaves = [tape.var(a) for a in arrays]
+            # a 1-row tail batch steps only the unaligned models: the contrastive
+            # loss needs >= 2 pairs
+            rows = everyone if len(idx) > 1 else np.flatnonzero(unaligned)
+            if len(rows) == 0:
+                continue
+            partial = len(rows) < len(aligns)
+            a, v, g = ((params[rows], vel[rows], grads[rows]) if partial
+                       else (params, vel, grads))
+            old = ((old_times[idx], old_spaces[idx]), old_unc[idx]) \
+                if not unaligned[rows].all() else (None, None)
             # a non-finite value raises on the tape or in the parameter check below;
             # numpy need not warn first
             with np.errstate(all="ignore"):
-                try:
-                    _, batch_new = embed_vars(leaves[:-1], X[idx], zeta, mcfg)
-                    loss = total_loss(batch_new, y[idx],
-                                      (old_times[idx], old_spaces[idx]) if aligned else None,
-                                      old_unc[idx] if aligned else None,
-                                      leaves[-1], align_cfg, mcfg)
-                except NumericalDomainError as e:
-                    raise TrainingFailureError(f"loss diverged at step {step}: {e}",
-                                               step=step) from e
-                for a, g, v in zip(arrays, ad.grad(loss, leaves), vel):
-                    g = g + tcfg.weight_decay * a
-                    v *= tcfg.momentum
-                    v -= lr * g
-                    a += v
-            if not all(np.all(np.isfinite(a)) for a in arrays):
+                values = _backprop(a, g, shapes, X[idx], y[idx], old,
+                                   [aligns[m] for m in rows], zeta, mcfg, step)
+                g += tcfg.weight_decay * a
+                v *= tcfg.momentum
+                v -= lr * g
+                a += v
+            if not np.isfinite(a).all():
                 raise TrainingFailureError(f"non-finite parameters at step {step}",
                                            step=step)
-            losses.append(float(loss.val))
+            if partial:
+                params[rows], vel[rows] = a, v
+            for m, value in zip(rows, values):
+                losses[m].append(float(value))
             step += 1
-        epoch_losses.append(float(np.mean(losses)))
-    return model, head, epoch_losses
+        for m, per_step in enumerate(losses):
+            epoch_losses[m].append(float(np.mean(per_step)))
+    trained = []
+    for row, per_epoch in zip(params, epoch_losses):
+        *arrays, head = _views(row.copy(), shapes)
+        trained.append((EncoderModel(zip(arrays[::2], arrays[1::2]), generation), head,
+                        per_epoch))
+    return trained
 
 
 def train_old(X, y, num_classes, mcfg: ManifoldConfig, policy: ClipPolicy,
               tcfg: TrainConfig, arch=()):
     """Train generation 0 with the base classification loss only."""
-    return _train(X, y, num_classes, arch, mcfg, policy, tcfg)
+    return train_stack(X, y, num_classes, None, [None], mcfg, policy, tcfg, arch)[0]
 
 
 def train_new(X, y, num_classes, old_model: EncoderModel, align_cfg: AlignmentConfig,
               mcfg: ManifoldConfig, policy: ClipPolicy, tcfg: TrainConfig,
               arch=()):
     """Train the next generation against a frozen old model."""
-    return _train(X, y, num_classes, arch, mcfg, policy, tcfg, align_cfg, old_model)
+    return train_stack(X, y, num_classes, old_model, [align_cfg], mcfg, policy, tcfg,
+                       arch)[0]
+
+
+def train_stack(X, y, num_classes, old_model, align_cfgs, mcfg: ManifoldConfig,
+                policy: ClipPolicy, tcfg: TrainConfig, arch=()):
+    """Train, as one stack of models, the generation after ``old_model`` (generation
+    0 when None) under each AlignmentConfig of ``align_cfgs``: a list of (model,
+    head, epoch losses) in that order, each with the bits of training that model
+    alone.  The models share the init, the batch order and the numpy calls of the
+    encoder and the base loss.
+
+    A failure in a stack of several models trains them again one at a time, in
+    order, so the first model to fail raises exactly what it raises alone.  A
+    config of None trains at lambda = 0.
+    """
+    align_cfgs = [AlignmentConfig(lambda_align=0.0) if align is None else align
+                  for align in align_cfgs]
+    run = (X, y, num_classes, arch, mcfg, policy, tcfg)
+    try:
+        return _train_stack(*run, align_cfgs, old_model)
+    except (HbctError, FloatingPointError):
+        if len(align_cfgs) == 1:
+            raise
+    return [_train_stack(*run, [align], old_model)[0] for align in align_cfgs]
 
 
 # ---------------------------------------------------------------------------

@@ -121,9 +121,12 @@ def _gallery_column(gallery: EmbeddingSet) -> np.ndarray:
         return np.linalg.norm(gallery.points, axis=1)
 
 
-def _distances(Q: np.ndarray, gallery: EmbeddingSet, column, out=None) -> np.ndarray:
+def _distances(Q: np.ndarray, gallery: EmbeddingSet, column, out=None,
+               scratch=None) -> np.ndarray:
     """(len(Q), len(gallery)) distances from each query row to each gallery row,
     written into ``out`` when given (every pass runs in place) and returned.
+    ``scratch``, an array of out's shape, holds the Lorentz time products, which
+    numpy would otherwise buffer in a temporary.
 
     The matmul over a trailing vector axis runs one gemv per query, so every
     row is bit-identical to ranking that query alone (a GEMM rounds differently
@@ -137,7 +140,7 @@ def _distances(Q: np.ndarray, gallery: EmbeddingSet, column, out=None) -> np.nda
         if gallery.geometry == "lorentz":
             K = gallery.curvature_K
             np.matmul(P[:, 1:], Q[:, 1:, None], out=out[..., None])
-            out -= column * Q[:, :1]
+            out -= np.multiply(column, Q[:, :1], out=scratch)
             out *= -K
             products = (out,)
         else:
@@ -205,7 +208,7 @@ def _rank_pair(queries: EmbeddingSet, gallery: EmbeddingSet):
     for start in range(0, len(queries), step):
         n = min(step, len(queries) - start)
         d, s, same = (b[:n] for b in blocks)
-        _distances(queries.points[start:start + n], gallery, column, out=d)
+        _distances(queries.points[start:start + n], gallery, column, out=d, scratch=s)
         np.equal(queries.labels[start:start + n, None], gallery.labels, out=same)
         if self_mode:
             # distances are finite, so +inf ranks the own row after every item

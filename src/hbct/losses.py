@@ -10,7 +10,10 @@ evaluates on plain arrays (tests, oracles) and records one node on a tape
 (training); InfoNCE and mean distortion compose elementary operations
 around the fused distance.  Per-sample terms come back with the batch shape, so a
 single point gives a scalar.  Points may also be given as LorentzPoints or
-lists of points (see :func:`hbct.manifold.points`).
+lists of points (see :func:`hbct.manifold.points`).  The MLR logits and
+base loss also take a stack of models, heads ``(M, C, d)`` with points
+``(M, B, d)``, and :func:`stack_loss` gives each model of a stack its own
+combined objective.
 Per-lane branches (aperture saturation, exterior-angle clamps, degenerate head
 rows) select with ``where`` on sanitised arguments, so a masked lane neither
 raises nor leaks a non-finite value into the gradient.
@@ -79,9 +82,11 @@ def _logits(on, spaces, head, sqrt_K):
     wn0 = ad.checked(np.linalg.norm(head, axis=-1), on_h)
     degenerate = wn0 < DEGENERATE_NORM
     wn = ad.checked(np.where(degenerate, 1.0, wn0), on_h)
-    hT = head.T  # a selection of a checked value
+    hT = np.swapaxes(head, -1, -2)  # a selection of a checked value
     s = ad.checked(spaces @ hT, rec)
     wk = ad.checked(wn / sqrt_K, on_h)
+    if head.ndim > 2:  # a stack of heads: each model's row norms over its batch rows
+        degenerate, wn, wk = degenerate[..., None, :], wn[..., None, :], wk[..., None, :]
     sk = ad.checked(s * sqrt_K, rec)
     sw = ad.checked(sk / wn, rec)
     ash = ad.checked(np.arcsinh(sw), rec)
@@ -105,8 +110,8 @@ def _logits_vjp(g, out, saved, parents):
         g_wn = ad.fit(ad.div_partial_b(g_sw, sk, wn), wn.shape)   # sk / wn -> wn
         g_wn = g_wn + ad.fit(g_lg * ash, wk.shape) / sqrt_K       # wk * ash -> wk, / sqrt_K
         g_hT = ad.fit(ad.matmul_vjp_b(g_s, None, spaces, hT), hT.shape)
-        pairs.append((parents[1], np.transpose(g_hT)))            # transpose -> head
-        g_wn0 = np.where(degenerate, 0.0, g_wn)                   # where(degenerate, 1, wn0)
+        pairs.append((parents[1], np.swapaxes(g_hT, -1, -2)))     # transpose -> head
+        g_wn0 = np.where(degenerate, 0.0, g_wn).reshape(wn0.shape)  # where(degenerate, 1, wn0)
         pairs.append((parents[1], ad.norm_vjp(g_wn0, wn0, head)))  # norm -> head
     return pairs
 
@@ -114,8 +119,9 @@ def _logits_vjp(g, out, saved, parents):
 def _mlr_operands(h, head):
     _, spaces = points(h)
     head = ad.array(head)
-    if head.ndim != 2 or len(head) == 0:
-        raise InvalidArgumentError("head must be a non-empty (classes, d) matrix")
+    if head.ndim not in (2, 3) or head.shape[-2] == 0:
+        raise InvalidArgumentError("head must be a non-empty (classes, d) matrix, or a "
+                                   "stack of them")
     return spaces, head
 
 
@@ -135,7 +141,7 @@ def _base(on, spaces, head, labels, sqrt_K):
     logits, lsaved = _logits(on, spaces, head, sqrt_K)
     labels = np.asarray(labels)
     n_classes = logits.shape[-1]
-    if labels.shape != logits.shape[:-1]:
+    if labels.shape != logits.shape[head.ndim - 2:-1]:  # a stack of models shares them
         raise InvalidArgumentError("labels must align with the batch")
     if np.any((labels < 0) | (labels >= n_classes)):
         raise InvalidArgumentError(f"label out of range for {n_classes} classes")
@@ -145,6 +151,8 @@ def _base(on, spaces, head, labels, sqrt_K):
     se = ad.checked(np.add.reduce(ex, axis=-1, keepdims=True), rec)
     log_probs = ad.checked(shifted - ad.checked(np.log(se), rec), rec)
     key = (*np.indices(labels.shape, sparse=True), labels)
+    if head.ndim > 2:  # the same labels for every model of the stack, gathered in C order
+        key = (np.arange(len(head)).reshape(-1, *(1,) * labels.ndim), *key)
     # the gather is a selection of a checked value
     return ad.checked(-log_probs[key], rec), (lsaved, ex, se, log_probs, key)
 
@@ -396,6 +404,12 @@ def _combined_vjp(g, out, saved, parents):
     return pairs
 
 
+def _alignment(batch_new, batch_old, uncertainties_old, cfg, mcfg):
+    """(mean L_entail, L_contrast) of one model's batch."""
+    entail = ad.mean(entailment_loss(batch_new, batch_old, cfg, mcfg))
+    return entail, contrast_term(batch_new, batch_old, uncertainties_old, cfg, mcfg)
+
+
 def total_loss(batch_new, labels, batch_old, uncertainties_old, head,
                cfg: AlignmentConfig, mcfg: ManifoldConfig):
     """L = mean L_base + lambda * (lambda_entail * mean L_entail + L_contrast).
@@ -406,7 +420,42 @@ def total_loss(batch_new, labels, batch_old, uncertainties_old, head,
     base = ad.mean(base_loss(batch_new, labels, head, mcfg))
     if cfg.lambda_align == 0.0:
         return base
-    entail = ad.mean(entailment_loss(batch_new, batch_old, cfg, mcfg))
-    contrast = contrast_term(batch_new, batch_old, uncertainties_old, cfg, mcfg)
-    return ad.formula(_combined, _combined_vjp, (base, entail, contrast), cfg.lambda_entail,
-                      cfg.lambda_align)
+    return ad.formula(_combined, _combined_vjp,
+                      (base, *_alignment(batch_new, batch_old, uncertainties_old, cfg, mcfg)),
+                      cfg.lambda_entail, cfg.lambda_align)
+
+
+def _stacked(on, base, *terms_and_weights):
+    *terms, weights = terms_and_weights
+    out = base.copy()
+    for k, (m, *lambdas) in enumerate(weights):
+        out[m] = _combined((on[0], *on[2 * k + 1:2 * k + 3]), base[m],
+                           *terms[2 * k:2 * k + 2], *lambdas)[0]
+    return out, weights
+
+
+def _stacked_vjp(g, out, weights, parents):
+    pairs = [(parents[0], g)]
+    for k, (m, *lambdas) in enumerate(weights):
+        pairs += _combined_vjp(g[m], None, lambdas, (None, *parents[2 * k + 1:2 * k + 3]))
+    return pairs
+
+
+def stack_loss(batch_new, labels, batch_old, uncertainties_old, head, cfgs, mcfg):
+    """total_loss of every model of a stack that trains on one batch, as one (M,) Var.
+
+    ``batch_new`` and ``head`` carry a leading model axis, and model m trains
+    under ``cfgs[m]``.  The base loss runs over the whole stack; each aligned
+    model's alignment terms run on its own slice.  Entry m, and every gradient
+    backpropagated from the vector (an adjoint of 1 per model), has the bits of
+    total_loss on model m alone.
+    """
+    base = ad.mean(base_loss(batch_new, labels, head, mcfg), -1)
+    times, spaces = batch_new
+    terms, weights = [], []
+    for m, cfg in enumerate(cfgs):
+        if cfg.lambda_align > 0.0:
+            terms += _alignment((ad.pick(times, m), ad.pick(spaces, m)), batch_old,
+                                uncertainties_old, cfg, mcfg)
+            weights.append((m, cfg.lambda_entail, cfg.lambda_align))
+    return ad.formula(_stacked, _stacked_vjp, (base, *terms), weights) if terms else base

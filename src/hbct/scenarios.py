@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .encoder import (ClipPolicy, EncoderModel, TrainConfig, embed_batch,
-                      save_checkpoint, train_new, train_old)
+                      save_checkpoint, train_new, train_old, train_stack)
 from .errors import (DegenerateBaselineError, InvalidArgumentError, NumericalDomainError,
                      TrainingFailureError)
 from .evaluation import (CompatReport, EmbeddingSet, compatibility_matrix,
@@ -242,36 +242,53 @@ def generation_slice(ds: Dataset, spec: ScenarioSpec, seed: int, generation: int
     return (ds.train_X[keep], y[keep]), spec.new_arch if late else spec.old_arch
 
 
+def _generation_run(cfg: ExperimentConfig, ds: Dataset, seed, old_model):
+    """((train X, train y), hidden widths, TrainConfig) of the generation after
+    ``old_model`` (generation 0 when None)."""
+    g = 0 if old_model is None else old_model.generation_tag + 1
+    data, arch = generation_slice(ds, cfg.scenario, seed, g)
+    return data, arch, replace(cfg.train, seed=cfg.train.seed + seed + 101 * g)
+
+
 def train_generation(cfg: ExperimentConfig, ds: Dataset, seed, old_model=None, align=None):
     """(model, head, epoch losses) of the generation after ``old_model``, trained on its
     generation_slice of ``ds``: generation 0 when ``old_model`` is None, otherwise aligned
     to it under ``align``.  Generation g trains from ``train.seed + seed + 101 * g``: with
     its predecessor's init and batch order an unaligned model would look spuriously
     compatible on toy data."""
-    g = 0 if old_model is None else old_model.generation_tag + 1
-    (X, y), arch = generation_slice(ds, cfg.scenario, seed, g)
-    tcfg = replace(cfg.train, seed=cfg.train.seed + seed + 101 * g)
+    (X, y), arch, tcfg = _generation_run(cfg, ds, seed, old_model)
     if old_model is None:
         return train_old(X, y, ds.num_classes, cfg.manifold, cfg.clip, tcfg, arch=arch)
     return train_new(X, y, ds.num_classes, old_model, align, cfg.manifold, cfg.clip,
                      tcfg, arch=arch)
 
 
-def _fit(cfg, ds, seed, prev=None, align=None) -> Generation:
-    """Train the generation after model ``prev``; embed ``ds``'s query and gallery."""
+def _generation(cfg, ds, model, head) -> Generation:
+    """The record of a trained model: ``ds``'s query and gallery embedded by it."""
     mcfg, policy = cfg.manifold, cfg.clip
-    model, head, _ = train_generation(cfg, ds, seed, prev, align)
     queries, _ = _embedding_set(model, ds.query_X, ds.query_y, policy, mcfg)
     gallery, unc = _embedding_set(model, ds.gallery_X, ds.gallery_y, policy, mcfg)
     return Generation(model, head, queries, gallery, unc)
 
 
+def _fit(cfg, ds, seed) -> Generation:
+    """Train generation 0 and embed ``ds``'s query and gallery."""
+    model, head, _ = train_generation(cfg, ds, seed)
+    return _generation(cfg, ds, model, head)
+
+
 def _update(cfg, ds, seed, prev: Generation, variants):
     """(star, {name: generation}) of one update after record ``prev``: the lambda = 0
-    star, then one generation per AlignmentConfig in ``variants`` (at lambda = 0, the star)."""
-    star = _fit(cfg, ds, seed, prev.model, replace(cfg.alignment, lambda_align=0.0))
-    return star, {name: _fit(cfg, ds, seed, prev.model, align)
-                  if align.lambda_align > 0 else star for name, align in variants.items()}
+    star and one generation per AlignmentConfig in ``variants`` (at lambda = 0, the
+    star), trained as one stack on the update's generation_slice."""
+    aligned = {name: align for name, align in variants.items() if align.lambda_align > 0}
+    (X, y), arch, tcfg = _generation_run(cfg, ds, seed, prev.model)
+    star, *news = [_generation(cfg, ds, model, head) for model, head, _ in train_stack(
+        X, y, ds.num_classes, prev.model,
+        [replace(cfg.alignment, lambda_align=0.0), *aligned.values()],
+        cfg.manifold, cfg.clip, tcfg, arch=arch)]
+    news = dict(zip(aligned, news))
+    return star, {name: news.get(name, star) for name in variants}
 
 
 class ScenarioResult(NamedTuple):

@@ -268,6 +268,19 @@ class TestGradients:
         g2 = ad_grad(f, vals)
         assert np.array_equal(g1, g2)
 
+    def test_pick_adjoint_adds_as_nothing(self):
+        # a model's slice of a stack: the other models' adjoints, -0.0 entries
+        # included, come through the slice's contribution with their bits
+        tape = Tape()
+        x = tape.var(np.ones((2, 3)))
+        w = np.array([[-0.0, 1.0, -2.0], [0.5, -0.0, 0.0]])
+        picked = np.array([-0.0, 2.0, 0.0])
+        y = ad.sum(x * w) + ad.sum(ad.pick(x, 1) * picked)
+        assert np.array_equal(ad.value(ad.pick(x, 1)), x.val[1])
+        expected = w.copy()
+        expected[1] += picked
+        assert ad.grad(y, [x])[0].tobytes() == expected.tobytes()
+
     def test_backward_rejects_foreign_var(self):
         t1, t2 = Tape(), Tape()
         x = t1.var(1.0)

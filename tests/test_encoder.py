@@ -5,12 +5,16 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hbct import encoder
 from hbct.encoder import (ClipPolicy, EncoderModel, TrainConfig, embed_batch,
-                          load_checkpoint, save_checkpoint, train_new, train_old)
+                          load_checkpoint, save_checkpoint, train_new, train_old, train_stack)
 from hbct.errors import InvalidArgumentError, TrainingFailureError
 from hbct.losses import AlignmentConfig, mlr_logits, total_loss
 from hbct.manifold import LorentzPoint, ManifoldConfig, on_manifold_defect
+from hbct.scenarios import SyntheticDatasetSpec, generate_dataset
 
 MCFG = ManifoldConfig(1.0, 4)
 POLICY = ClipPolicy(zeta_old=1.0, zeta_step=0.2)
@@ -186,6 +190,86 @@ class TestTrainNew:
         _, _, losses = train_new(X[:8], y[:8], 2, old, AlignmentConfig(lambda_align=0.0),
                                  MCFG, POLICY, TrainConfig(epochs=2, batch_size=1))
         assert len(losses) == 2 and all(np.isfinite(losses))
+
+
+def trained_bytes(model, head, losses):
+    return [a.tobytes() for a in model.params() + [head]] + [np.array(losses).tobytes()]
+
+
+def failure(fn):
+    try:
+        fn()
+    except TrainingFailureError as e:
+        return str(e)
+    return None
+
+
+KINDS = [dict(contrast_kind="rince"), dict(contrast_kind="rince", q_mode="fixed"),
+         dict(contrast_kind="infonce"), dict(contrast_kind="mean_distortion", q_mode="fixed")]
+
+
+class TestTrainStack:
+    """A stack of models trained at once equals each model trained alone, bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_models=st.integers(1, 3),
+           order=st.permutations(range(3)), K=st.sampled_from([0.5, 1.0, 2.0]),
+           arch=st.sampled_from([(), (5,)]),
+           rows_batch=st.sampled_from([(17, 8), (33, 16), (24, 16), (20, 4)]),
+           kinds=st.lists(st.sampled_from(KINDS), min_size=2, max_size=2))
+    def test_stack_equals_models_alone(self, seed, n_models, order, K, arch, rows_batch,
+                                       kinds):
+        # a lambda = 0 star and two aligned variants, in any order; 17 and 33 rows
+        # leave a 1-row tail batch, which only the star steps on
+        rng = np.random.default_rng(seed)
+        rows, batch = rows_batch
+        mcfg = ManifoldConfig(K, 3)
+        X = rng.normal(size=(rows, 4)) * rng.uniform(0.2, 3.0, size=(rows, 1))
+        y = rng.integers(0, 3, size=rows)
+        tcfg = TrainConfig(epochs=2, batch_size=batch, seed=seed % 1000)
+        old, _, _ = train_old(X, y, 3, mcfg, POLICY, tcfg, arch=(4,))
+        variants = [AlignmentConfig(lambda_align=0.0),
+                    AlignmentConfig(lambda_align=0.3, **kinds[0]),
+                    AlignmentConfig(lambda_align=1.0, lambda_entail=0.5, **kinds[1])]
+        aligns = [variants[i] for i in order[:n_models]]
+        # the stack itself: train_stack would fall back to the models alone on a failure
+        stack = encoder._train_stack(X, y, 3, arch, mcfg, POLICY, tcfg, aligns, old)
+        assert len(stack) == n_models
+        for trained, align in zip(stack, aligns):
+            alone = train_new(X, y, 3, old, align, mcfg, POLICY, tcfg, arch=arch)
+            assert trained_bytes(*trained) == trained_bytes(*alone)
+            assert trained[0].generation_tag == 1
+
+    @pytest.mark.parametrize("case", ["star", "aligned", "center_scale"])
+    def test_failure_is_the_first_models_alone(self, case):
+        # a failing stack trains its models one at a time, in order, and raises what
+        # the first model to fail raises alone
+        rng = np.random.default_rng(6)
+        X, y = two_gaussians(rng, n=12)
+        sane = TrainConfig(epochs=2, batch_size=8, seed=3)
+        old, _, _ = train_old(X, y, 2, MCFG, POLICY, sane, arch=())
+        aligns = [AlignmentConfig(lambda_align=0.0), AlignmentConfig(lambda_align=0.3)]
+        tcfg = sane
+        if case == "star":
+            tcfg = TrainConfig(epochs=2, batch_size=8, learning_rate=1e300, weight_decay=1e10)
+        elif case == "aligned":
+            aligns[1] = AlignmentConfig(lambda_align=1e308)
+        else:  # rows of norm about 1e308, embedded by an old model trained on sane ones
+            with np.errstate(over="ignore"):
+                X = generate_dataset(SyntheticDatasetSpec(
+                    num_classes=2, samples_per_class=12, input_dim=2,
+                    class_center_scale=1e308)).train_X
+            y = y[:len(X)]
+        # in order, up to the first failure
+        alone = [failure(lambda: train_new(X, y, 2, old, aligns[0], MCFG, POLICY, tcfg))]
+        if case == "aligned":
+            assert alone == [None]
+            alone.append(failure(lambda: train_new(X, y, 2, old, aligns[1], MCFG, POLICY,
+                                                   tcfg)))
+        first = alone[-1]
+        assert failure(lambda: train_stack(X, y, 2, old, aligns, MCFG, POLICY, tcfg)) == first
+        assert first.startswith("non-finite parameters at step 0" if case == "star"
+                                else "loss diverged at step 0: non-finite primal")
 
 
 class TestCheckpoint:

@@ -410,21 +410,23 @@ class TestSequential:
 
         def recording(fn):
             def run(X, y, *a, arch=()):
-                seen.append((sorted(set(y.tolist())), arch))
-                return fn(X, y, *a, arch=arch)
+                out = fn(X, y, *a, arch=arch)
+                seen.append((sorted(set(y.tolist())), arch, len(out) if fn is train else 1))
+                return out
             return run
 
+        train = sc.train_stack
         monkeypatch.setattr(sc, "train_old", recording(sc.train_old))
-        monkeypatch.setattr(sc, "train_new", recording(sc.train_new))
+        monkeypatch.setattr(sc, "train_stack", recording(train))
         cfg_path = str(tmp_path / "exp.cfg")
         cfgmod.save(cfg_path, tiny_cfg(
             train=TrainConfig(epochs=1, batch_size=8, learning_rate=0.05),
             scenario=ScenarioSpec(kind="ext_class", class_fraction=0.5, old_arch=(4,),
                                   new_arch=(8,), n_steps=3)))
         assert main(["matrix", "--config", cfg_path, "--metric", "map"]) == 0
-        # per step a star, then from the second step on an HBCT model
-        assert seen == [([0, 1], (4,))] + [([0, 1, 2, 3], (4,))] * 2 + [
-            ([0, 1, 2, 3, 4, 5], (8,))] * 2
+        # generation 0, then per step one stack of two models: the star and the HBCT model
+        assert seen == [([0, 1], (4,), 1), ([0, 1, 2, 3], (4,), 2),
+                        ([0, 1, 2, 3, 4, 5], (8,), 2)]
 
 
 class TestGenerationCounts:
@@ -440,10 +442,11 @@ class TestGenerationCounts:
         import hbct.scenarios as sc
         trained, embedded = [], []
 
-        def training(fn):
+        def training(fn, stack):
             def run(*a, **k):
                 out = fn(*a, **k)
-                trained.append(out[0])
+                # train_old returns one (model, head, losses), train_stack a list of them
+                trained.extend([m for m, _, _ in out] if stack else [out[0]])
                 return out
             return run
 
@@ -453,8 +456,8 @@ class TestGenerationCounts:
             embedded.append(model)
             return embed(model, *a, **k)
 
-        monkeypatch.setattr(sc, "train_old", training(sc.train_old))
-        monkeypatch.setattr(sc, "train_new", training(sc.train_new))
+        monkeypatch.setattr(sc, "train_old", training(sc.train_old, False))
+        monkeypatch.setattr(sc, "train_stack", training(sc.train_stack, True))
         monkeypatch.setattr(sc, "embed_batch", embedding)
 
         def check(n_trained):
