@@ -1,22 +1,20 @@
 """Minimal reverse-mode automatic differentiation over float64 arrays.
 
-A Tape records a dynamic graph of array nodes in topological order.  An
-elementary node (add, exp, norm, ...) stores its primal value, the operand
-values it was computed from, and, for every operand that is itself a node, a
-vector-Jacobian product mapping the node's adjoint to that operand's adjoint
-contribution.  Operands broadcast as in numpy; ``backward`` sums each
-contribution back down to its operand's shape.  A batched formula therefore
-costs O(1) nodes, not O(batch).
+A Tape records a dynamic graph of array nodes in topological order.  Every
+node but a leaf is a formula (:func:`formula`): one fixed chain of elementary
+operations, such as the origin expmap, the MLR log-softmax or a single
+``tanh``.  Its forward runs the chain's numpy calls in the chain's order and
+checks every intermediate it computes for finiteness, as recording each link
+would.  Its VJP runs the chain's adjoint operations and hands back the
+operands' (node index, contribution) pairs in the order a tape of the chain's
+separate nodes would accumulate them, so every primal and every gradient
+keeps the chain's bits.  Operands broadcast as in numpy; ``backward`` sums
+each contribution back down to its operand's shape, so a batched formula
+costs one node, not one per sample.  The elementary operations themselves,
+one node each, live with the tests (``tests/elementary.py``), where they
+write out the chains that each formula is checked against.
 
-A fused node (:func:`formula`) records a whole formula, one fixed chain of
-elementary operations such as the origin expmap or the MLR log-softmax, as one
-node.  Its forward runs the chain's numpy calls in the chain's order and checks
-every intermediate it computes for finiteness, as recording each link would.
-Its VJP runs the chain's adjoint operations and hands back the operands'
-contributions in the order ``backward`` would accumulate them from the chain's
-separate nodes, so every primal and every gradient keeps its bits.
-
-Every public function accepts plain arrays and floats alongside :class:`Var`
+Every formula accepts plain arrays and floats alongside :class:`Var`
 operands and returns a plain numpy result when no Var is involved, so the same
 code evaluates with or without a tape.
 
@@ -64,23 +62,17 @@ def checked(val, on_tape):
 
 
 class Tape:
-    """Append-only record of array operations, in topological order."""
+    """Append-only record of formula nodes, in topological order."""
 
     __slots__ = ("vals", "args", "backs")
 
     def __init__(self):
         self.vals = []   # primal value per node
-        self.args = []   # what the node's VJPs read besides its adjoint and value
-        # per node: [(parent node index, vjp), ...] for an elementary op, or a
-        # fused formula's VJP, which returns its (parent, contribution) pairs
-        self.backs = []
+        self.args = []   # per node: (what its VJP saved, its operands' node indices)
+        self.backs = []  # per node: its formula's VJP, or None for a leaf
 
     def __len__(self):
         return len(self.vals)
-
-    def _push(self, val, args, back):
-        check_finite(val)
-        return self._append(val, args, back)
 
     def _append(self, val, args, back):
         self.vals.append(val)
@@ -90,14 +82,16 @@ class Tape:
 
     def var(self, value):
         """Create a leaf node (an independent variable / parameter array)."""
-        return self._push(np.array(value, dtype=np.float64), (), ())
+        val = np.array(value, dtype=np.float64)
+        check_finite(val)
+        return self._append(val, None, None)
 
 
 class Var:
     """Handle to a tape node: (tape, node index, primal value)."""
 
     __slots__ = ("tape", "idx", "val")
-    # numpy operands defer to the reflected operators below
+    # a numpy operand must not broadcast over a handle as an object array
     __array_ufunc__ = None
 
     def __init__(self, tape, idx, val):
@@ -119,47 +113,6 @@ class Var:
     def __len__(self):
         return len(self.val)
 
-    @property
-    def T(self):
-        return transpose(self)
-
-    def __getitem__(self, key):
-        return getitem(self, key)
-
-    def reshape(self, *shape):
-        return _apply(np.reshape, _RESHAPE, self, shape)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self)
-
 
 def value(x):
     """Primal value of a Var, or x as a float64 array."""
@@ -176,25 +129,6 @@ def _tape_of(args):
         if type(a) is Var:
             return a.tape
     return None
-
-
-def _apply(f, vjps, *args):
-    """f over the operands' primal values, recorded when any operand is a Var.
-
-    ``vjps[k](g, out, *vals)`` is the adjoint contribution to operand k.
-    """
-    tape = _tape_of(args)
-    if tape is None:
-        return f(*args)
-    vals = []
-    links = []
-    for a, vjp in zip(args, vjps):
-        if type(a) is Var:
-            vals.append(a.val)
-            links.append((a.idx, vjp))
-        else:
-            vals.append(a)
-    return tape._push(f(*vals), vals, links)
 
 
 def formula(forward, vjp, operands, *consts):
@@ -281,116 +215,24 @@ def acos_vjp(g, out, v):
     return g * -_unit_partial(v)
 
 
-# Per-operand VJPs of the elementary ops, (g, out, *operand values) ->
-# contribution; built once here rather than on every call.
-def _pass(g, out, *vals):
-    return g
+def _tanh(on, x):
+    return checked(np.tanh(x), on[0]), None
 
 
-def _negate(g, out, *vals):
-    return -g
-
-
-_ADD = (_pass, _pass)
-_SUB = (_pass, _negate)
-_MUL = (lambda g, out, a, b: g * b, lambda g, out, a, b: g * a)
-_DIV = (lambda g, out, a, b: g / b, lambda g, out, a, b: div_partial_b(g, a, b))
-_NEG = (_negate,)
-_EXP = (lambda g, out, x: g * out,)
-_LOG = (lambda g, out, x: g / x,)
-_SQRT = (lambda g, out, x: g * (0.5 / out),)
-_TANH = (lambda g, out, x: g * (1.0 - out * out),)
-_COSH = (lambda g, out, x: g * np.sinh(x),)
-_SINH = (lambda g, out, x: g * np.cosh(x),)
-_POWR = (lambda g, out, a, b: g * (b * a ** (b - 1.0)), None)
-_WHERE = (None, lambda g, out, c, a, b: np.where(c, g, 0.0),
-          lambda g, out, c, a, b: np.where(c, 0.0, g))
-
-
-def add(a, b):
-    return _apply(np.add, _ADD, a, b)
-
-
-def sub(a, b):
-    return _apply(np.subtract, _SUB, a, b)
-
-
-def mul(a, b):
-    return _apply(np.multiply, _MUL, a, b)
-
-
-def div(a, b):
-    return _apply(np.true_divide, _DIV, a, b)
-
-
-def neg(x):
-    return _apply(np.negative, _NEG, x)
-
-
-def exp(x):
-    return _apply(np.exp, _EXP, x)
-
-
-def log(x):
-    return _apply(np.log, _LOG, x)
-
-
-def sqrt(x):
-    return _apply(np.sqrt, _SQRT, x)
+def _tanh_vjp(g, out, saved, parents):
+    return [(parents[0], g * (1.0 - out * out))]
 
 
 def tanh(x):
-    return _apply(np.tanh, _TANH, x)
-
-
-def cosh(x):
-    return _apply(np.cosh, _COSH, x)
-
-
-def sinh(x):
-    return _apply(np.sinh, _SINH, x)
-
-
-def asinh(x):
-    return _apply(np.arcsinh, (asinh_vjp,), x)
-
-
-def acosh(x):
-    return _apply(arccosh, (acosh_vjp,), x)
-
-
-def asin(x):
-    return _apply(arcsin, (asin_vjp,), x)
-
-
-def acos(x):
-    return _apply(arccos, (acos_vjp,), x)
-
-
-def powr(a, b):
-    """a ** b for positive base a and a constant exponent b."""
-    if isinstance(b, Var):
-        raise InvalidArgumentError("powr exponent must be a constant")
-    return _apply(np.power, _POWR, a, b)
-
-
-def where(cond, a, b):
-    """Select a where the plain boolean cond holds, else b; adjoints follow."""
-    return _apply(np.where, _WHERE, cond, a, b)
-
-
-def _sum(v, axis, keepdims):
-    return _add_reduce(v, axis=axis, keepdims=keepdims)
+    """Elementwise tanh, the encoder's activation between layers."""
+    return formula(_tanh, _tanh_vjp, (x,))
 
 
 def sum_vjp(g, out, v, axis=None, keepdims=False):
+    """Adjoint of a sum of v over ``axis`` (every entry when None)."""
     if axis is not None and not keepdims:
         g = np.expand_dims(g, axis)
     return np.broadcast_to(g, v.shape)
-
-
-def sum(x, axis=None, keepdims=False):
-    return _apply(_sum, (sum_vjp, None, None), x, axis, keepdims)
 
 
 def mean_forward(on, v, axis=None):
@@ -415,58 +257,32 @@ def mean(x, axis=None):
     return formula(mean_forward, _mean_vjp, (x,), axis)
 
 
-def _norm(v, keepdims):
-    return np.linalg.norm(v, axis=-1, keepdims=keepdims)
-
-
 def norm_vjp(g, n, v, keepdims=False):
+    """Adjoint of the Euclidean norm n of v along the last axis; 0 at the origin."""
     if not keepdims:
         g, n = np.asarray(g)[..., None], np.asarray(n)[..., None]
     return np.where(n > 0.0, g * (v / np.where(n > 0.0, n, 1.0)), 0.0)
 
 
-def norm(x, keepdims=False):
-    """Euclidean norm along the last axis; subgradient 0 at the origin."""
-    return _apply(_norm, (norm_vjp, None), x, keepdims)
-
-
 def matmul_vjp_a(g, out, a, b):
+    """Adjoint of a @ b with respect to a; also over stacks of matrices."""
     if np.ndim(b) == 1:
         return np.multiply.outer(g, b)
     return g @ np.swapaxes(b, -1, -2)
 
 
 def matmul_vjp_b(g, out, a, b):
+    """Adjoint of a @ b with respect to b; also over stacks of matrices."""
     if np.ndim(a) == 1:
         return np.multiply.outer(a, g)
     return np.swapaxes(a, -1, -2) @ g
 
 
-def matmul(a, b):
-    """a @ b; the VJPs also serve stacks of matrices, as in a stack of models."""
-    return _apply(np.matmul, (matmul_vjp_a, matmul_vjp_b), a, b)
-
-
-def _transpose_vjp(g, out, v):
-    return np.transpose(g)
-
-
-def transpose(x):
-    return _apply(np.transpose, (_transpose_vjp,), x)
-
-
-def _getitem(v, key):
-    return v[key]
-
-
 def getitem_vjp(g, out, v, key):
+    """Adjoint of v[key]: g added at key into zeros of v's shape."""
     full = np.zeros(np.shape(v))
     np.add.at(full, key, g)
     return full
-
-
-def getitem(x, key):
-    return _apply(_getitem, (getitem_vjp, None), x, key)
 
 
 def _pick(on, v, m):
@@ -487,13 +303,6 @@ def pick(x, m):
     return formula(_pick, _pick_vjp, (x,), m)
 
 
-def _reshape_vjp(g, out, v, shape):
-    return np.reshape(g, v.shape)
-
-
-_RESHAPE = (_reshape_vjp, None)
-
-
 def _unbroadcast(g, shape):
     """Sum an adjoint computed at a broadcast shape back down to shape."""
     extra = g.ndim - len(shape)
@@ -508,7 +317,8 @@ def backward(tape, output):
 
     The result is indexable by node index; entry i is d(output)/d(node i),
     or None where the output does not depend on node i.  Contributions to a
-    node are summed in decreasing order of the consuming node's index.
+    node are summed in decreasing order of the consuming node's index, and
+    in the order its formula's VJP returns them.
     """
     if not isinstance(output, Var) or output.tape is not tape:
         raise InvalidArgumentError("output is not a Var on this tape")
@@ -518,14 +328,9 @@ def backward(tape, output):
     for i in range(output.idx, -1, -1):
         g = adj[i]
         back = backs[i]
-        if g is None or not back:
+        if g is None or back is None:
             continue
-        out, a = vals[i], args[i]
-        if type(back) is list:   # elementary op: one VJP per Var operand
-            pairs = [(p, vjp(g, out, *a)) for p, vjp in back]
-        else:                    # fused formula: one VJP for every operand
-            pairs = back(g, out, *a)
-        for p, c in pairs:
+        for p, c in back(g, vals[i], *args[i]):
             shape = vals[p].shape
             if c.shape != shape:
                 c = _unbroadcast(c, shape)

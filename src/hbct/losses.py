@@ -4,16 +4,15 @@ the combined training loss.
 
 Each objective is written once over a batch of points ``(times (B,),
 spaces (B, d))`` with MLR head rows ``(C, d)``: the MLR logits and base loss,
-the aperture, exterior angle and entailment hinge, RINCE and the combined
-objective are fused :func:`hbct.autodiff.formula` nodes, whose one forward
-evaluates on plain arrays (tests, oracles) and records one node on a tape
-(training); InfoNCE and mean distortion compose elementary operations
-around the fused distance.  Per-sample terms come back with the batch shape, so a
-single point gives a scalar.  Points may also be given as LorentzPoints or
-lists of points (see :func:`hbct.manifold.points`).  The MLR logits and
-base loss also take a stack of models, heads ``(M, C, d)`` with points
-``(M, B, d)``, and :func:`stack_loss` gives each model of a stack its own
-combined objective.
+the aperture, exterior angle and entailment hinge, RINCE, InfoNCE and the
+combined objective are fused :func:`hbct.autodiff.formula` nodes, whose one
+forward evaluates on plain arrays (tests, oracles) and records one node on a
+tape (training); mean distortion is the fused mean of the fused distance.
+Per-sample terms come back with the batch shape, so a single point gives a
+scalar.  Points may also be given as LorentzPoints or lists of points (see
+:func:`hbct.manifold.points`).  The MLR logits and base loss also take a
+stack of models, heads ``(M, C, d)`` with points ``(M, B, d)``, and
+:func:`stack_loss` gives each model of a stack its own combined objective.
 Per-lane branches (aperture saturation, exterior-angle clamps, degenerate head
 rows) select with ``where`` on sanitised arguments, so a masked lane neither
 raises nor leaks a non-finite value into the gradient.
@@ -309,11 +308,6 @@ def _aligned(batch_new, batch_old, min_size):
     return new, old
 
 
-def _diagonal(D):
-    idx = np.arange(D.shape[0])
-    return D[idx, idx]
-
-
 def _rince(on, D, q, tau, beta):
     idx = np.arange(D.shape[0])
     c_pos, c_neg = -q / tau, -1.0 / tau
@@ -362,12 +356,31 @@ def contrastive_loss(batch_new, batch_old, uncertainties_old, cfg: AlignmentConf
     return ad.formula(_rince, _rince_vjp, (D,), q, cfg.tau, cfg.beta)
 
 
+def _infonce(on, D, tau):
+    idx = np.arange(D.shape[0])
+    c_neg = -1.0 / tau
+    # the diagonal is a selection of a checked value
+    pos = ad.checked(D[idx, idx] / tau, on[0])
+    e = ad.checked(np.exp(ad.checked(D * c_neg, on[0])), on[0])
+    s = ad.checked(np.add.reduce(e, axis=-1), on[0])
+    terms = ad.checked(pos + ad.checked(np.log(s), on[0]), on[0])
+    m, msaved = ad.mean_forward(on, terms)
+    return m, (D, idx, tau, c_neg, e, s, msaved)
+
+
+def _infonce_vjp(g, out, saved, parents):
+    D, idx, tau, c_neg, e, s, msaved = saved
+    g_terms = ad.mean_backward(g, msaved)
+    g_e = ad.sum_vjp(g_terms / s, None, e, -1)              # log, sum over j
+    return [(parents[0], ((g_e * e) * c_neg)),              # exp, D * c_neg -> D
+            (parents[0], ad.getitem_vjp(g_terms / tau, None, D, (idx, idx)))]  # / tau
+
+
 def infonce_loss(batch_new, batch_old, cfg: AlignmentConfig, mcfg: ManifoldConfig):
     """Standard softmax contrastive loss over the geodesic distance D_ij."""
     new, old = _aligned(batch_new, batch_old, 2)
     D = hdist(new, old, mcfg, outer=True)
-    return ad.mean(_diagonal(D) / cfg.tau
-                   + ad.log(ad.sum(ad.exp(D * (-1.0 / cfg.tau)), -1)))
+    return ad.formula(_infonce, _infonce_vjp, (D,), cfg.tau)
 
 
 def mean_distortion_loss(batch_new, batch_old, cfg: AlignmentConfig, mcfg: ManifoldConfig):

@@ -299,7 +299,7 @@ def uncertainty(x, cfg: ManifoldConfig):
     curvatures large-norm embeddings can push the value negative.
     """
     times, spaces = points(x)
-    return 1.0 - ad.norm(spaces) / (math.sqrt(cfg.curvature_K) * times)
+    return 1.0 - np.linalg.norm(spaces, axis=-1) / (math.sqrt(cfg.curvature_K) * times)
 
 
 def geodesic_distance(x: LorentzPoint, y: LorentzPoint, cfg: ManifoldConfig) -> float:
@@ -324,7 +324,7 @@ def logm_origin(x: LorentzPoint, cfg: ManifoldConfig) -> TangentVector:
     Returns the tangent vector [0, z] with expm_origin(z) == x.
     """
     sqrt_K = math.sqrt(cfg.curvature_K)
-    a = float(ad.acosh(sqrt_K * x.time))  # sqrt(K) * x_time equals -K * <0bar, x>_L
+    a = float(ad.arccosh(sqrt_K * x.time))  # sqrt(K) * x_time equals -K * <0bar, x>_L
     # proj_0bar(x) = [0, x_space]; coefficient a / sinh(a) with series limit 1.
     coeff = 1.0 if a < SERIES_EPS else a / math.sinh(a)
     return TangentVector(0.0, coeff * x.space)

@@ -13,6 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import elementary as el
 from hbct import autodiff as ad
 from hbct import losses
 from hbct.encoder import ClipPolicy, TrainConfig, train_old
@@ -157,8 +158,8 @@ def test_criterion_02_gradient_oracle(capsys):
         x0 = list(z) + [v for row in rows for v in row]
 
         def build(xs):
-            h = hexpm_origin(xs[:3], MCFG)
-            return base_loss(h, label, xs[3:].reshape(4, 3), MCFG)
+            h = hexpm_origin(el.getitem(xs, np.s_[:3]), MCFG)
+            return base_loss(h, label, el.reshape(el.getitem(xs, np.s_[3:]), (4, 3)), MCFG)
 
         errs.append(_check_grad(build, x0))
     worst["base"] = max(errs)
@@ -187,7 +188,7 @@ def test_criterion_02_gradient_oracle(capsys):
             uncs = rng.uniform(0.1, 0.9, size=len(z_old))
 
             def build(xs):
-                new_pts = hexpm_origin(xs.reshape(len(old_pts), 3), MCFG)
+                new_pts = hexpm_origin(el.reshape(xs, (len(old_pts), 3)), MCFG)
                 return loss_call(new_pts, old_pts, uncs)
 
             errs.append(_check_grad(build, [v for z in z_new for v in z]))
@@ -226,7 +227,7 @@ def test_criterion_02_gradient_oracle(capsys):
         labels = [int(v) for v in rng.integers(0, 4, size=len(z_old))]
 
         def build(xs):
-            new_pts = hexpm_origin(xs.reshape(len(old_pts), 3), MCFG)
+            new_pts = hexpm_origin(el.reshape(xs, (len(old_pts), 3)), MCFG)
             return total_loss(new_pts, labels, old_pts, uncs, rows, tcfg, MCFG)
 
         errs.append(_check_grad(build, [v for z in z_new for v in z]))

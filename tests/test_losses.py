@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import elementary as el
 from hbct import autodiff as ad
 from hbct.autodiff import Tape
 from hbct.errors import InvalidArgumentError, NumericalDomainError
@@ -207,7 +208,7 @@ class TestExteriorAngle:
         h_n = (np.array([0.5, 0.5, 2.0]), spaces)
         ext = exterior_angle(h_o, h_n, cfg, MCFG)
         assert ext.val[0] == 0.0 and ext.val[1] == math.pi
-        g = ad.grad(ad.sum(ext), [spaces])[0]
+        g = ad.grad(el.sum(ext), [spaces])[0]
         assert np.all(np.isfinite(g))
         assert np.all(g[:2] == 0.0) and np.any(g[2] != 0.0)
 
@@ -492,7 +493,7 @@ class TestLaneIsolation:
         z_leaf, h_leaf = tape.var(new_z), tape.var(head)
         base, entail = self._terms(z_leaf, h_leaf, old, labels, cfg)
         for term in (base, entail):
-            g_z, g_h = ad.grad(ad.sum(term), [z_leaf, h_leaf])
+            g_z, g_h = ad.grad(el.sum(term), [z_leaf, h_leaf])
             assert np.all(np.isfinite(g_z)) and np.all(np.isfinite(g_h))
             alone_h = np.zeros_like(head)
             for i in range(len(new_z)):
@@ -500,7 +501,7 @@ class TestLaneIsolation:
                 zi, hi = t.var(new_z[i:i + 1]), t.var(head)
                 row = self._terms(zi, hi, (old[0][i:i + 1], old[1][i:i + 1]),
                                   labels[i:i + 1], cfg)[0 if term is base else 1]
-                gi_z, gi_h = ad.grad(ad.sum(row), [zi, hi])
+                gi_z, gi_h = ad.grad(el.sum(row), [zi, hi])
                 assert row.val[0] == pytest.approx(term.val[i], rel=1e-12, abs=1e-15)
                 assert np.allclose(gi_z[0], g_z[i], rtol=1e-12, atol=1e-15)
                 alone_h += gi_h
