@@ -3,16 +3,17 @@
 A Tape records a dynamic graph of array nodes in topological order.  Every
 node but a leaf is a formula (:func:`formula`): one fixed chain of elementary
 operations, such as the origin expmap, the MLR log-softmax or a single
-``tanh``.  Its forward runs the chain's numpy calls in the chain's order and
-checks every intermediate it computes for finiteness, as recording each link
-would.  Its VJP runs the chain's adjoint operations and hands back the
-operands' (node index, contribution) pairs in the order a tape of the chain's
-separate nodes would accumulate them, so every primal and every gradient
-keeps the chain's bits.  Operands broadcast as in numpy; ``backward`` sums
-each contribution back down to its operand's shape, so a batched formula
-costs one node, not one per sample.  The elementary operations themselves,
-one node each, live with the tests (``tests/elementary.py``), where they
-write out the chains that each formula is checked against.
+``tanh``.  Its forward runs the chain's numpy calls in the chain's order; on
+a tape it checks every intermediate it computes for finiteness, as recording
+each link would.  Its VJP runs the chain's adjoint operations and hands back
+the Var operands' (node index, contribution) pairs in the order a tape of the
+chain's separate nodes would accumulate them, so every primal and every
+gradient keeps the chain's bits.  Operands broadcast as in numpy;
+``backward`` sums each contribution back down to its operand's shape, so a
+batched formula costs one node, not one per sample.  The elementary
+operations themselves, one node each, live with the tests
+(``tests/elementary.py``), where they write out the chains that each formula
+is checked against.
 
 Every formula accepts plain arrays and floats alongside :class:`Var`
 operands and returns a plain numpy result when no Var is involved, so the same
@@ -54,9 +55,9 @@ def check_finite(val):
             f"non-finite primal recorded on tape ({bad} of {np.size(finite)} entries)")
 
 
-def checked(val, on_tape):
-    """val, checked for finiteness when the chain would record it on a tape."""
-    if on_tape:
+def checked(val, rec):
+    """val, checked for finiteness when its formula is recorded on a tape (rec)."""
+    if rec:
         check_finite(val)
     return val
 
@@ -134,20 +135,21 @@ def _tape_of(args):
 def formula(forward, vjp, operands, *consts):
     """One tape node for a fused chain of operations over ``operands``.
 
-    ``forward(on, *values, *consts)`` returns ``(out, saved)``.  ``on[k]``
-    tells whether operand k is a Var; the forward passes each intermediate
-    that the chain would record to :func:`checked`, in the chain's order.
-    Without a Var operand only ``out`` comes back.  ``vjp(g, out, saved,
-    parents)`` returns the (parent node index, contribution) pairs of the
-    chain's backward pass, in the order ``backward`` would accumulate them;
-    ``parents[k]`` is operand k's node index, or None for a constant.
+    ``forward(rec, *values, *consts)`` returns ``(out, saved)``.  ``rec`` is
+    True when some operand is a Var: the node is recorded, and the forward
+    passes every intermediate it computes to :func:`checked`, in the chain's
+    order.  Without a Var operand only ``out`` comes back.  ``vjp(g, out,
+    saved, parents)`` returns the (parent node index, contribution) pairs of
+    the chain's backward pass, in the order ``backward`` would accumulate
+    them; ``parents[k]`` is operand k's node index, or None for a constant,
+    which gets no contribution.
     """
     tape = _tape_of(operands)
     if tape is None:
-        return forward((False,) * len(operands), *operands, *consts)[0]
+        return forward(False, *operands, *consts)[0]
     parents = [a.idx if type(a) is Var else None for a in operands]
     vals = [a.val if type(a) is Var else a for a in operands]
-    out, saved = forward([p is not None for p in parents], *vals, *consts)
+    out, saved = forward(True, *vals, *consts)
     return tape._append(out, (saved, parents), vjp)
 
 
@@ -192,18 +194,9 @@ def _unit_clamped(v, name):
     return np.clip(v, -1.0, 1.0)
 
 
-def _unit_partial(v):
-    v = np.clip(v, -1.0 + CLAMP_SLACK, 1.0 - CLAMP_SLACK)
-    return 1.0 / np.sqrt(1.0 - v * v)
-
-
 def arcsin(v):
     """asin under the domain policy, on plain values."""
     return np.arcsin(_unit_clamped(v, "asin"))
-
-
-def asin_vjp(g, out, v):
-    return g * _unit_partial(v)
 
 
 def arccos(v):
@@ -212,11 +205,12 @@ def arccos(v):
 
 
 def acos_vjp(g, out, v):
-    return g * -_unit_partial(v)
+    v = np.clip(v, -1.0 + CLAMP_SLACK, 1.0 - CLAMP_SLACK)
+    return g * -(1.0 / np.sqrt(1.0 - v * v))
 
 
-def _tanh(on, x):
-    return checked(np.tanh(x), on[0]), None
+def _tanh(rec, x):
+    return checked(np.tanh(x), rec), None
 
 
 def _tanh_vjp(g, out, saved, parents):
@@ -235,11 +229,11 @@ def sum_vjp(g, out, v, axis=None, keepdims=False):
     return np.broadcast_to(g, v.shape)
 
 
-def mean_forward(on, v, axis=None):
+def mean_forward(rec, v, axis=None):
     """The mean as its two elementary steps, the sum and one division by the count."""
     n = np.size(v) if axis is None else v.shape[axis]
-    s = checked(_add_reduce(v, axis=axis), on[0])
-    return checked(s / n, on[0]), (v, n, axis)
+    s = checked(_add_reduce(v, axis=axis), rec)
+    return checked(s / n, rec), (v, n, axis)
 
 
 def mean_backward(g, saved):
@@ -285,7 +279,7 @@ def getitem_vjp(g, out, v, key):
     return full
 
 
-def _pick(on, v, m):
+def _pick(rec, v, m):
     return v[m], (v.shape, m)  # a selection of a checked value
 
 

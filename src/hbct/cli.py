@@ -2,8 +2,8 @@
 end-to-end scenario / sequential-matrix / sweep experiments.
 
 Exit codes: 0 success, 2 bad configuration or input (including a missing or
-unreadable input file and an unwritable output path), 3 numerical or training
-failure.
+unreadable input file, an unwritable output path and a size that does not fit
+in memory), 3 numerical or training failure.
 The output root is the current directory unless HBCT_OUTPUT_ROOT is set.
 """
 
@@ -144,8 +144,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.run(args)
-    except (InvalidArgumentError, OSError) as e:
-        print(f"bad config or input: {e}", file=sys.stderr)
+    except (InvalidArgumentError, OSError, MemoryError) as e:
+        print(f"bad config or input: {str(e) or 'out of memory'}", file=sys.stderr)
         return EXIT_CONFIG
     except (TrainingFailureError, NumericalDomainError, DegenerateBaselineError) as e:
         print(f"numerical/training failure: {e}", file=sys.stderr)

@@ -105,11 +105,11 @@ class EncoderModel:
         return [a for layer in self.layers for a in layer]
 
 
-def _layer(on, h, W, b):
+def _layer(rec, h, W, b):
     WT = np.swapaxes(W, -1, -2)  # a selection of a checked value
-    hw = ad.checked(h @ WT, on[0] or on[1])
+    hw = ad.checked(h @ WT, rec)
     # b[..., None, :] is a selection of a checked value: each model's bias over its rows
-    return ad.checked(hw + b[..., None, :], on[0] or on[1] or on[2]), (h, WT)
+    return ad.checked(hw + b[..., None, :], rec), (h, WT)
 
 
 def _layer_vjp(g, out, saved, parents):

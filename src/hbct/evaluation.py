@@ -66,7 +66,12 @@ class EmbeddingSet:
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
+        with np.errstate(invalid="ignore"):
+            self.labels = labels.astype(np.int64, copy=False)
+        # a signed integer fits; anything else must survive the conversion unchanged
+        if labels.dtype.kind != "i" and not np.array_equal(self.labels, labels):
+            raise InvalidArgumentError("labels must be finite integers that fit int64")
         if self.geometry not in _GEOMETRIES:
             raise InvalidArgumentError(f"unknown geometry {self.geometry!r}")
         if self.points.ndim != 2 or len(self.points) != len(self.labels):

@@ -4,10 +4,13 @@ the combined training loss.
 
 Each objective is written once over a batch of points ``(times (B,),
 spaces (B, d))`` with MLR head rows ``(C, d)``: the MLR logits and base loss,
-the aperture, exterior angle and entailment hinge, RINCE, InfoNCE and the
-combined objective are fused :func:`hbct.autodiff.formula` nodes, whose one
-forward evaluates on plain arrays (tests, oracles) and records one node on a
-tape (training); mean distortion is the fused mean of the fused distance.
+the exterior angle and entailment hinge, RINCE, InfoNCE and the combined
+objective are fused :func:`hbct.autodiff.formula` nodes, whose one forward
+evaluates on plain arrays (tests, oracles) and records one node on a tape
+(training); mean distortion is the fused mean of the fused distance.  The old
+generation is frozen, so the cone's apex, its norm and its aperture are
+constants: the cone formulas differentiate the new point only, the aperture
+is a plain-array function, and an old batch given as a Var is refused.
 Per-sample terms come back with the batch shape, so a single point gives a
 scalar.  Points may also be given as LorentzPoints or lists of points (see
 :func:`hbct.manifold.points`).  The MLR logits and base loss also take a
@@ -75,15 +78,13 @@ class AlignmentConfig:
 # ---------------------------------------------------------------------------
 # Base classification loss
 
-def _logits(on, spaces, head, sqrt_K):
-    on_h = on[1]
-    rec = on[0] or on_h
-    wn0 = ad.checked(np.linalg.norm(head, axis=-1), on_h)
+def _logits(rec, spaces, head, sqrt_K):
+    wn0 = ad.checked(np.linalg.norm(head, axis=-1), rec)
     degenerate = wn0 < DEGENERATE_NORM
-    wn = ad.checked(np.where(degenerate, 1.0, wn0), on_h)
+    wn = ad.checked(np.where(degenerate, 1.0, wn0), rec)
     hT = np.swapaxes(head, -1, -2)  # a selection of a checked value
     s = ad.checked(spaces @ hT, rec)
-    wk = ad.checked(wn / sqrt_K, on_h)
+    wk = ad.checked(wn / sqrt_K, rec)
     if head.ndim > 2:  # a stack of heads: each model's row norms over its batch rows
         degenerate, wn, wk = degenerate[..., None, :], wn[..., None, :], wk[..., None, :]
     sk = ad.checked(s * sqrt_K, rec)
@@ -136,15 +137,14 @@ def mlr_logits(h, head, mcfg: ManifoldConfig):
                       math.sqrt(mcfg.curvature_K))
 
 
-def _base(on, spaces, head, labels, sqrt_K):
-    logits, lsaved = _logits(on, spaces, head, sqrt_K)
+def _base(rec, spaces, head, labels, sqrt_K):
+    logits, lsaved = _logits(rec, spaces, head, sqrt_K)
     labels = np.asarray(labels)
     n_classes = logits.shape[-1]
     if labels.shape != logits.shape[head.ndim - 2:-1]:  # a stack of models shares them
         raise InvalidArgumentError("labels must align with the batch")
     if np.any((labels < 0) | (labels >= n_classes)):
         raise InvalidArgumentError(f"label out of range for {n_classes} classes")
-    rec = on[0] or on[1]
     shifted = ad.checked(logits - np.maximum.reduce(logits, axis=-1, keepdims=True), rec)
     ex = ad.checked(np.exp(shifted), rec)
     se = ad.checked(np.add.reduce(ex, axis=-1, keepdims=True), rec)
@@ -172,51 +172,38 @@ def base_loss(h, labels, head, mcfg: ManifoldConfig):
 
 
 # ---------------------------------------------------------------------------
-# Entailment cone
+# Entailment cone: the old batch is frozen, so its cone is constants
 
-def _aperture(on, o_spaces, c):
-    n = ad.checked(np.linalg.norm(o_spaces, axis=-1), on[0])
-    at_origin = n == 0.0
-    w = ad.checked(np.where(at_origin, 1.0, n), on[0])
-    arg = ad.checked(c / w, on[0])
+def _frozen(h_o):
+    """(times, spaces, space norms) of an old batch, which may not be a Var."""
+    times, spaces = points(h_o)
+    if type(times) is ad.Var or type(spaces) is ad.Var:
+        raise InvalidArgumentError("the old batch is frozen: pass it as plain arrays, "
+                                   "not Vars")
+    return times, spaces, np.linalg.norm(spaces, axis=-1)
+
+
+def _aperture(norms, cfg, mcfg):
+    at_origin = norms == 0.0
+    arg = (2.0 * cfg.epsilon_aperture / math.sqrt(mcfg.curvature_K)) \
+        / np.where(at_origin, 1.0, norms)
     saturated = at_origin | (arg >= 1.0)
-    safe = ad.checked(np.where(saturated, 0.0, arg), on[0])
-    angle = ad.checked(ad.arcsin(safe), on[0])
-    return (ad.checked(np.where(saturated, math.pi / 2.0, angle), on[0]),
-            (o_spaces, n, at_origin, w, saturated, safe, c))
-
-
-def _aperture_back(g, saved):
-    o_spaces, n, at_origin, w, saturated, safe, c = saved
-    g_safe = ad.asin_vjp(np.where(saturated, 0.0, g), None, safe)  # where, asin
-    g_w = ad.div_partial_b(np.where(saturated, 0.0, g_safe), c, w)  # where, c / w -> w
-    return ad.norm_vjp(np.where(at_origin, 0.0, g_w), n, o_spaces)  # where, norm
-
-
-def _aperture_vjp(g, out, saved, parents):
-    return [(parents[0], _aperture_back(g, saved))]
-
-
-def _aperture_const(cfg, mcfg):
-    return 2.0 * cfg.epsilon_aperture / math.sqrt(mcfg.curvature_K)
+    return np.where(saturated, math.pi / 2.0, ad.arcsin(np.where(saturated, 0.0, arg)))
 
 
 def aperture(h_o, cfg: AlignmentConfig, mcfg: ManifoldConfig):
-    """Half-aperture of the entailment cone at h_o.
+    """Half-aperture of the entailment cone at h_o, as a plain array.
 
     asin(2*eps / (sqrt(K) ||h_o_space||)), saturating at pi/2 once the point
     is close enough to the origin (including exactly at it).
     """
-    _, spaces = points(h_o)
-    return ad.formula(_aperture, _aperture_vjp, (spaces,), _aperture_const(cfg, mcfg))
+    return _aperture(_frozen(h_o)[2], cfg, mcfg)
 
 
-def _exterior(on, o_times, o_spaces, n_times, n_spaces, K):
-    rec = on[0] or on[1] or on[2] or on[3]
-    o_norm = ad.checked(np.linalg.norm(o_spaces, axis=-1), on[1])
+def _exterior(rec, n_times, n_spaces, o_times, o_spaces, o_norm, K):
     if np.any(o_norm == 0.0):
         raise NumericalDomainError("exterior angle undefined at the origin")
-    inner, isaved = inner_forward(on, o_times, o_spaces, n_times, n_spaces)
+    inner, isaved = inner_forward(rec, o_times, o_spaces, n_times, n_spaces)
     c = ad.checked(inner * K, rec)
     num = ad.checked(n_times + ad.checked(o_times * c, rec), rec)
     sq = ad.checked(ad.checked(c * c, rec) - 1.0, rec)
@@ -229,15 +216,13 @@ def _exterior(on, o_times, o_spaces, n_times, n_spaces, K):
     safe = ad.checked(np.where(inside, arg, 0.0), rec)
     angle = ad.checked(ad.arccos(safe), rec)
     ext = ad.checked(np.where(inside, angle, np.where(arg >= 1.0, 0.0, math.pi)), rec)
-    return ext, (o_times, o_spaces, n_times, o_norm, isaved, K, c, num, clamped, root,
-                 den, inside, safe)
+    return ext, (o_times, n_times, o_norm, isaved, K, c, num, clamped, root, den, inside,
+                 safe)
 
 
-def _exterior_back(g, saved, parents, pairs):
-    """Append the exterior angle's (parent, contribution) pairs, in the chain's order."""
-    (o_times, o_spaces, n_times, o_norm, isaved, K, c, num, clamped, root, den, inside,
-     safe) = saved
-    on = [p is not None for p in parents]
+def _exterior_vjp(g, out, saved, parents):
+    """The new point's (parent, contribution) pairs, in the chain's order."""
+    o_times, n_times, o_norm, isaved, K, c, num, clamped, root, den, inside, safe = saved
     g_safe = ad.acos_vjp(np.where(inside, g, 0.0), None, safe)  # where, acos
     g_arg = np.where(inside, g_safe, 0.0)                  # where(inside, arg, 0) -> arg
     g_num = g_arg / den                                    # num / den -> num
@@ -245,55 +230,40 @@ def _exterior_back(g, saved, parents, pairs):
     g_sq = np.where(clamped, 0.0, (g_den * o_norm) * (0.5 / root))  # o_norm * root, sqrt, where
     g_c = g_sq * c                                         # c * c - 1 -> c, twice
     g_c = g_c + g_sq * c
-    if on[2]:
-        pairs.append((parents[2], ad.fit(g_num, n_times.shape)))  # n_t + o_t * c -> n_t
-    if on[0]:
-        pairs.append((parents[0], ad.fit(g_num * c, o_times.shape)))  # o_t * c -> o_t
-    g_c = g_c + g_num * o_times                            # -> c
-    c_ot, c_os, c_nt, c_ns = inner_backward(g_c * K, isaved, on)  # inner * K -> inner
-    ad.emit(pairs, (parents[0], parents[2], parents[1], parents[3]), (c_ot, c_nt, c_os, c_ns))
-    if on[1]:
-        pairs.append((parents[1], ad.norm_vjp(g_den * root, o_norm, o_spaces)))
-
-
-def _exterior_vjp(g, out, saved, parents):
     pairs = []
-    _exterior_back(g, saved, parents, pairs)
+    if parents[0] is not None:
+        pairs.append((parents[0], ad.fit(g_num, n_times.shape)))  # n_t + o_t * c -> n_t
+    g_c = g_c + g_num * o_times                            # -> c
+    _, _, c_nt, c_ns = inner_backward(g_c * K, isaved, (None, None, *parents))  # * K, inner
+    ad.emit(pairs, parents, (c_nt, c_ns))
     return pairs
-
-
-def _cone_operands(h_o, h_n):
-    return (*points(h_o), *points(h_n))
 
 
 def exterior_angle(h_o, h_n, cfg: AlignmentConfig, mcfg: ManifoldConfig):
-    """Exterior angle at h_o of the geodesic triangle (origin, h_o, h_n)."""
-    return ad.formula(_exterior, _exterior_vjp, _cone_operands(h_o, h_n), mcfg.curvature_K)
+    """Exterior angle at h_o of the geodesic triangle (origin, h_o, h_n); a
+    formula over the new point h_n."""
+    old = _frozen(h_o)
+    return ad.formula(_exterior, _exterior_vjp, points(h_n), *old, mcfg.curvature_K)
 
 
-def _entail(on, o_times, o_spaces, n_times, n_spaces, K, c):
-    ext, esaved = _exterior(on, o_times, o_spaces, n_times, n_spaces, K)
-    ap, asaved = _aperture(on[1:2], o_spaces, c)
-    rec = on[0] or on[1] or on[2] or on[3]
+def _entail(rec, n_times, n_spaces, o_times, o_spaces, o_norm, K, ap):
+    ext, esaved = _exterior(rec, n_times, n_spaces, o_times, o_spaces, o_norm, K)
     v = ad.checked(ext - ap, rec)
     outside = v > 0.0
-    return ad.checked(np.where(outside, v, 0.0), rec), (esaved, asaved, outside)
+    return ad.checked(np.where(outside, v, 0.0), rec), (esaved, outside)
 
 
 def _entail_vjp(g, out, saved, parents):
-    esaved, asaved, outside = saved
-    g_v = np.where(outside, g, 0.0)                        # the hinge
-    pairs = []
-    if parents[1] is not None:                             # ext - ap -> ap, aperture
-        pairs.append((parents[1], _aperture_back(-g_v, asaved)))
-    _exterior_back(g_v, esaved, parents, pairs)            # -> ext, exterior angle
-    return pairs
+    esaved, outside = saved
+    return _exterior_vjp(np.where(outside, g, 0.0), None, esaved, parents)  # the hinge
 
 
 def entailment_loss(h_n, h_o, cfg: AlignmentConfig, mcfg: ManifoldConfig):
-    """Hinge on how far h_n pokes outside h_o's entailment cone."""
-    return ad.formula(_entail, _entail_vjp, _cone_operands(h_o, h_n), mcfg.curvature_K,
-                      _aperture_const(cfg, mcfg))
+    """Hinge on how far h_n pokes outside h_o's entailment cone; a formula over
+    the new point h_n."""
+    old = _frozen(h_o)
+    return ad.formula(_entail, _entail_vjp, points(h_n), *old, mcfg.curvature_K,
+                      _aperture(old[2], cfg, mcfg))
 
 
 # ---------------------------------------------------------------------------
@@ -308,18 +278,18 @@ def _aligned(batch_new, batch_old, min_size):
     return new, old
 
 
-def _rince(on, D, q, tau, beta):
+def _rince(rec, D, q, tau, beta):
     idx = np.arange(D.shape[0])
     c_pos, c_neg = -q / tau, -1.0 / tau
     # the diagonal is a selection of a checked value
-    pos = ad.checked(np.exp(ad.checked(D[idx, idx] * c_pos, on[0])), on[0])
-    e = ad.checked(np.exp(ad.checked(D * c_neg, on[0])), on[0])
-    neg = ad.checked(np.add.reduce(e, axis=-1), on[0])
-    t_pos = ad.checked(ad.checked(-pos, on[0]) / q, on[0])
-    scaled = ad.checked(neg * beta, on[0])
-    t_neg = ad.checked(ad.checked(np.power(scaled, q), on[0]) / q, on[0])
-    terms = ad.checked(t_pos + t_neg, on[0])
-    m, msaved = ad.mean_forward(on, terms)
+    pos = ad.checked(np.exp(ad.checked(D[idx, idx] * c_pos, rec)), rec)
+    e = ad.checked(np.exp(ad.checked(D * c_neg, rec)), rec)
+    neg = ad.checked(np.add.reduce(e, axis=-1), rec)
+    t_pos = ad.checked(ad.checked(-pos, rec) / q, rec)
+    scaled = ad.checked(neg * beta, rec)
+    t_neg = ad.checked(ad.checked(np.power(scaled, q), rec) / q, rec)
+    terms = ad.checked(t_pos + t_neg, rec)
+    m, msaved = ad.mean_forward(rec, terms)
     return m, (D, idx, q, c_pos, c_neg, pos, e, beta, scaled, msaved)
 
 
@@ -356,15 +326,15 @@ def contrastive_loss(batch_new, batch_old, uncertainties_old, cfg: AlignmentConf
     return ad.formula(_rince, _rince_vjp, (D,), q, cfg.tau, cfg.beta)
 
 
-def _infonce(on, D, tau):
+def _infonce(rec, D, tau):
     idx = np.arange(D.shape[0])
     c_neg = -1.0 / tau
     # the diagonal is a selection of a checked value
-    pos = ad.checked(D[idx, idx] / tau, on[0])
-    e = ad.checked(np.exp(ad.checked(D * c_neg, on[0])), on[0])
-    s = ad.checked(np.add.reduce(e, axis=-1), on[0])
-    terms = ad.checked(pos + ad.checked(np.log(s), on[0]), on[0])
-    m, msaved = ad.mean_forward(on, terms)
+    pos = ad.checked(D[idx, idx] / tau, rec)
+    e = ad.checked(np.exp(ad.checked(D * c_neg, rec)), rec)
+    s = ad.checked(np.add.reduce(e, axis=-1), rec)
+    terms = ad.checked(pos + ad.checked(np.log(s), rec), rec)
+    m, msaved = ad.mean_forward(rec, terms)
     return m, (D, idx, tau, c_neg, e, s, msaved)
 
 
@@ -402,11 +372,10 @@ def contrast_term(batch_new, batch_old, uncertainties_old, cfg: AlignmentConfig,
 # ---------------------------------------------------------------------------
 # Combined objective
 
-def _combined(on, base, entail, contrast, lambda_entail, lambda_align):
-    on_align = on[1] or on[2]
-    t = ad.checked(ad.checked(entail * lambda_entail, on[1]) + contrast, on_align)
-    t = ad.checked(t * lambda_align, on_align)
-    return ad.checked(base + t, on[0] or on_align), (lambda_entail, lambda_align)
+def _combined(rec, base, entail, contrast, lambda_entail, lambda_align):
+    t = ad.checked(ad.checked(entail * lambda_entail, rec) + contrast, rec)
+    t = ad.checked(t * lambda_align, rec)
+    return ad.checked(base + t, rec), (lambda_entail, lambda_align)
 
 
 def _combined_vjp(g, out, saved, parents):
@@ -438,12 +407,11 @@ def total_loss(batch_new, labels, batch_old, uncertainties_old, head,
                       cfg.lambda_entail, cfg.lambda_align)
 
 
-def _stacked(on, base, *terms_and_weights):
+def _stacked(rec, base, *terms_and_weights):
     *terms, weights = terms_and_weights
     out = base.copy()
     for k, (m, *lambdas) in enumerate(weights):
-        out[m] = _combined((on[0], *on[2 * k + 1:2 * k + 3]), base[m],
-                           *terms[2 * k:2 * k + 2], *lambdas)[0]
+        out[m] = _combined(rec, base[m], *terms[2 * k:2 * k + 2], *lambdas)[0]
     return out, weights
 
 

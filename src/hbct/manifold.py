@@ -96,42 +96,39 @@ def points(x):
             np.array([s for _, s in pairs], dtype=np.float64))
 
 
-def inner_forward(on, xt, xs, yt, ys):
-    """<x, y>_L = sum(xs * ys, -1) - xt * yt as its four elementary steps.
-
-    ``on`` flags which of (xt, xs, yt, ys) sit on a tape; each step is checked
-    when it depends on one of them.  Returns (inner, saved).
-    """
-    on_s, on_t = on[1] or on[3], on[0] or on[2]
-    p = ad.checked(xs * ys, on_s)
-    s = ad.checked(np.add.reduce(p, axis=-1), on_s)
-    tt = ad.checked(xt * yt, on_t)
-    return ad.checked(s - tt, on_s or on_t), (xt, xs, yt, ys, p, s, tt)
+def inner_forward(rec, xt, xs, yt, ys):
+    """<x, y>_L = sum(xs * ys, -1) - xt * yt as its four elementary steps, each
+    checked when ``rec``.  Returns (inner, saved)."""
+    p = ad.checked(xs * ys, rec)
+    s = ad.checked(np.add.reduce(p, axis=-1), rec)
+    tt = ad.checked(xt * yt, rec)
+    return ad.checked(s - tt, rec), (xt, xs, yt, ys, p, s, tt)
 
 
-def inner_backward(g, saved, on):
+def inner_backward(g, saved, parents):
     """Adjoints of inner_forward's steps: contributions to (xt, xs, yt, ys),
-    None where ``on`` is False.  The chain emits them in the order xt, yt,
-    xs, ys."""
+    None where ``parents`` holds None (a constant).  The chain emits them in
+    the order xt, yt, xs, ys."""
     xt, xs, yt, ys, p, s, tt = saved
+    p_xt, p_xs, p_yt, p_ys = parents
     c_xt = c_xs = c_yt = c_ys = None
-    if on[0] or on[2]:
+    if p_xt is not None or p_yt is not None:
         g_tt = ad.fit(-g, tt.shape)                      # s - tt -> tt
-        if on[0]:
+        if p_xt is not None:
             c_xt = ad.fit(g_tt * yt, xt.shape)           # xt * yt -> xt
-        if on[2]:
+        if p_yt is not None:
             c_yt = ad.fit(g_tt * xt, yt.shape)           # -> yt
-    if on[1] or on[3]:
+    if p_xs is not None or p_ys is not None:
         g_p = ad.sum_vjp(ad.fit(g, s.shape), None, p, -1)  # s - tt -> s, sum -> p
-        if on[1]:
+        if p_xs is not None:
             c_xs = ad.fit(g_p * ys, xs.shape)            # xs * ys -> xs
-        if on[3]:
+        if p_ys is not None:
             c_ys = ad.fit(g_p * xs, ys.shape)            # -> ys
     return c_xt, c_xs, c_yt, c_ys
 
 
 def _inner_vjp(g, out, saved, parents):
-    c_xt, c_xs, c_yt, c_ys = inner_backward(g, saved, [p is not None for p in parents])
+    c_xt, c_xs, c_yt, c_ys = inner_backward(g, saved, parents)
     pairs = []
     ad.emit(pairs, (parents[0], parents[2], parents[1], parents[3]), (c_xt, c_yt, c_xs, c_ys))
     return pairs
@@ -149,12 +146,11 @@ _OUTER_T = (slice(None), None)
 _OUTER_S = (slice(None), None, slice(None))
 
 
-def _dist(on, xt, xs, yt, ys, K, outer):
+def _dist(rec, xt, xs, yt, ys, K, outer):
     x = xt, xs
     if outer:  # selections of checked values, so always finite
         xt, xs = xt[_OUTER_T], xs[_OUTER_S]
-    inner, saved = inner_forward(on, xt, xs, yt, ys)
-    rec = on[0] or on[1] or on[2] or on[3]
+    inner, saved = inner_forward(rec, xt, xs, yt, ys)
     arg = ad.checked(inner * -K, rec)
     ac = ad.checked(ad.arccosh(arg), rec)
     return ad.checked(ac / math.sqrt(K), rec), (x, saved, arg, K, outer)
@@ -163,8 +159,7 @@ def _dist(on, xt, xs, yt, ys, K, outer):
 def _dist_vjp(g, out, saved, parents):
     (xt, xs), isaved, arg, K, outer = saved
     g_arg = ad.acosh_vjp(g / math.sqrt(K), None, arg)       # / sqrt(K), acosh
-    on = [p is not None for p in parents]
-    c_xt, c_xs, c_yt, c_ys = inner_backward(g_arg * -K, isaved, on)  # * -K, inner
+    c_xt, c_xs, c_yt, c_ys = inner_backward(g_arg * -K, isaved, parents)  # * -K, inner
     pairs = []
     if not outer:
         ad.emit(pairs, (parents[0], parents[2], parents[1], parents[3]),
@@ -172,9 +167,9 @@ def _dist_vjp(g, out, saved, parents):
         return pairs
     # the selections of x precede the inner product on the chain, so come last
     ad.emit(pairs, (parents[2], parents[3]), (c_yt, c_ys))
-    if on[1]:
+    if parents[1] is not None:
         pairs.append((parents[1], ad.getitem_vjp(c_xs, None, xs, _OUTER_S)))
-    if on[0]:
+    if parents[0] is not None:
         pairs.append((parents[0], ad.getitem_vjp(c_xt, None, xt, _OUTER_T)))
     return pairs
 
@@ -194,9 +189,9 @@ def hdist(x, y, mcfg: ManifoldConfig, outer=False):
 # intermediates no other run reads: a = sqrt(K)||z||, the sinh(a)/a
 # coefficient, the time cosh(a)/sqrt(K), and the scaled rows.
 
-def _expm_arg(on, z, sqrt_K):
-    n = ad.checked(np.linalg.norm(z, axis=-1), on[0])
-    return ad.checked(n * sqrt_K, on[0]), (z, n, sqrt_K)
+def _expm_arg(rec, z, sqrt_K):
+    n = ad.checked(np.linalg.norm(z, axis=-1), rec)
+    return ad.checked(n * sqrt_K, rec), (z, n, sqrt_K)
 
 
 def _expm_arg_vjp(g, out, saved, parents):
@@ -208,10 +203,10 @@ def _expm_arg_vjp(g, out, saved, parents):
 # allocation: on 100 000 plain rows a longer-lived temporary moves the heap
 # layout that later allocations land in.  A VJP recomputes such a temporary.
 
-def _sinhc(on, a, series):
-    safe = ad.checked(np.where(series, 1.0, a), on[0])
-    q = ad.checked(ad.checked(np.sinh(safe), on[0]) / safe, on[0])
-    return ad.checked(np.where(series, 1.0, q), on[0]), (series, safe)
+def _sinhc(rec, a, series):
+    safe = ad.checked(np.where(series, 1.0, a), rec)
+    q = ad.checked(ad.checked(np.sinh(safe), rec) / safe, rec)
+    return ad.checked(np.where(series, 1.0, q), rec), (series, safe)
 
 
 def _sinhc_vjp(g, out, saved, parents):
@@ -222,9 +217,9 @@ def _sinhc_vjp(g, out, saved, parents):
     return [(parents[0], np.where(series, 0.0, g_safe))]  # where(series, 1, a) -> a
 
 
-def _cosh_scaled(on, a, sqrt_K):
-    ch = ad.checked(np.cosh(a), on[0])
-    return ad.checked(ch / sqrt_K, on[0]), (a, sqrt_K)
+def _cosh_scaled(rec, a, sqrt_K):
+    ch = ad.checked(np.cosh(a), rec)
+    return ad.checked(ch / sqrt_K, rec), (a, sqrt_K)
 
 
 def _cosh_scaled_vjp(g, out, saved, parents):
@@ -232,9 +227,9 @@ def _cosh_scaled_vjp(g, out, saved, parents):
     return [(parents[0], (g / sqrt_K) * np.sinh(a))]
 
 
-def _scale_rows(on, coeff, z):
+def _scale_rows(rec, coeff, z):
     ce = coeff[..., None]  # a selection of a checked value
-    return ad.checked(ce * z, on[0] or on[1]), (coeff, ce, z)
+    return ad.checked(ce * z, rec), (coeff, ce, z)
 
 
 def _scale_rows_vjp(g, out, saved, parents):
@@ -263,14 +258,14 @@ def hexpm_origin(z, mcfg: ManifoldConfig):
     return times, ad.formula(_scale_rows, _scale_rows_vjp, (coeff, z))
 
 
-def _rescale_clip(on, z, zeta, sqrt_d):
-    z = ad.checked(z / sqrt_d, on[0])
-    n = ad.checked(np.linalg.norm(z, axis=-1, keepdims=True), on[0])
+def _rescale_clip(rec, z, zeta, sqrt_d):
+    z = ad.checked(z / sqrt_d, rec)
+    n = ad.checked(np.linalg.norm(z, axis=-1, keepdims=True), rec)
     over = n > zeta
-    r = ad.checked(zeta / ad.checked(np.where(over, n, 1.0), on[0]), on[0])
-    w2 = ad.checked(np.where(over, r, 1.0), on[0])
+    r = ad.checked(zeta / ad.checked(np.where(over, n, 1.0), rec), rec)
+    w2 = ad.checked(np.where(over, r, 1.0), rec)
     del r
-    return ad.checked(z * w2, on[0]), (z, n, over, w2, zeta, sqrt_d)
+    return ad.checked(z * w2, rec), (z, n, over, w2, zeta, sqrt_d)
 
 
 def _rescale_clip_vjp(g, out, saved, parents):

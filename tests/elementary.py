@@ -18,8 +18,8 @@ def _op(f, *vjps):
     """f over its operands' values as one node.  ``vjps[k](g, out, *values)`` is
     operand k's contribution, None where operand k is never a Var; operands
     past the last VJP are constants (an axis, a key, a shape)."""
-    def forward(on, *vals):
-        return ad.checked(f(*vals), any(on)), vals
+    def forward(rec, *vals):
+        return ad.checked(f(*vals), rec), vals
 
     def vjp(g, out, vals, parents):
         return [(p, back(g, out, *vals)) for p, back in zip(parents, vjps) if p is not None]
@@ -48,7 +48,7 @@ cosh = _op(np.cosh, lambda g, out, x: g * np.sinh(x))
 sinh = _op(np.sinh, lambda g, out, x: g * np.cosh(x))
 asinh = _op(np.arcsinh, ad.asinh_vjp)
 acosh = _op(ad.arccosh, ad.acosh_vjp)
-asin = _op(ad.arcsin, ad.asin_vjp)
+asin = _op(ad.arcsin, lambda g, out, v: -ad.acos_vjp(g, out, v))  # asin' = -acos'
 acos = _op(ad.arccos, ad.acos_vjp)
 matmul = _op(np.matmul, ad.matmul_vjp_a, ad.matmul_vjp_b)
 transpose = _op(np.transpose, lambda g, out, v: np.transpose(g))

@@ -150,6 +150,17 @@ class TestFailsClosed:
         with pytest.raises(InvalidArgumentError):
             EmbeddingSet(pts, [0, 1, 0])
 
+    def test_labels_int64_would_change_rejected(self):
+        # stored as int64, these would put the metrics on the wrong labels
+        pts = lorentz_set(np.random.default_rng(40), 3).points
+        for labels in ([0.5, 1.7, 0.0], [0, np.nan, 1], [0, np.inf, 1], [1e30, 0, 1],
+                       np.array([2**63, 0, 1], dtype=np.uint64)):
+            with pytest.raises(InvalidArgumentError, match="labels"):
+                EmbeddingSet(pts, labels)
+        for labels in ([0, 1, 0], [0.0, 1.0, 2.0], np.array([0, 1, 2], np.int32)):
+            assert EmbeddingSet(pts, labels).labels.tolist() == np.asarray(labels).tolist()
+        assert EmbeddingSet(np.empty((0, 3)), []).labels.dtype == np.int64
+
     def test_nan_query_rejected(self):
         # every distance would be NaN and the stable sort would call index 0 a hit
         g = lorentz_set(np.random.default_rng(41), 6)

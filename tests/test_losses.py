@@ -256,6 +256,17 @@ class TestEntailmentLoss:
                 assert loss == pytest.approx(ext - aper, abs=1e-12)
 
 
+def test_old_batch_is_frozen():
+    # the old generation is a constant of the cone: a Var old batch is refused
+    cfg, (old_t, old_s) = AlignmentConfig(), hexpm_origin(np.array([[0.3, 0.2, -0.1]]), MCFG)
+    new = hexpm_origin(np.array([[0.6, 0.1, 0.0]]), MCFG)
+    for old in ((Tape().var(old_t), old_s), (old_t, Tape().var(old_s))):
+        for fn in (lambda: aperture(old, cfg, MCFG), lambda: exterior_angle(old, new, cfg, MCFG),
+                   lambda: entailment_loss(new, old, cfg, MCFG)):
+            with pytest.raises(InvalidArgumentError, match="old batch is frozen"):
+                fn()
+
+
 class TestContrastiveLoss:
     def test_against_oracle_fixed_q(self):
         rng = np.random.default_rng(14)

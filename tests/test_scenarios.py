@@ -731,6 +731,19 @@ class TestCli:
         assert err.startswith("bad config or input") and key in err
         assert "Traceback" not in err and not out.exists()
 
+    def test_out_of_memory_exits_2(self, tmp_path, monkeypatch, capsys):
+        # a size that fits every format but not the machine: numpy's MemoryError is
+        # bad input, reported without a traceback, and nothing is written
+        def generate(spec):
+            raise MemoryError("Unable to allocate 5.96 GiB for an array")
+        monkeypatch.setattr("hbct.cli.generate_dataset", generate)
+        out = tmp_path / "data.npz"
+        assert main(["generate", "--config", self._write_cfg(tmp_path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("bad config or input: Unable to allocate")
+        assert "Traceback" not in err and not out.exists()
+
     def test_bad_metric_and_lambdas_exit_2(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HBCT_OUTPUT_ROOT", str(tmp_path))
         store = str(tmp_path / "set.emb")
