@@ -27,8 +27,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tape
 from .errors import HbctError, InvalidArgumentError, NumericalDomainError, TrainingFailureError
-from .evaluation import check_generation_tag
-from .losses import AlignmentConfig, stack_loss, total_loss
+from .evaluation import _row_blocks, check_generation_tag
+from .losses import AlignmentConfig, OldBatch, stack_loss, total_loss
 from .manifold import ManifoldConfig, hexpm_origin, rescale_clip, uncertainty
 
 _add_reduce = np.add.reduce
@@ -146,11 +146,30 @@ def embed_vars(params, X, zeta, mcfg: ManifoldConfig):
 def embed_batch(model: EncoderModel, X, policy: ClipPolicy, mcfg: ManifoldConfig):
     """Embed the rows of X on the hyperboloid, with each point's uncertainty.
 
-    Returns (Z, times, spaces, uncertainties); spaces has shape (N, d).
+    Returns (Z, times, spaces, uncertainties); spaces has shape (N, d).  Rows
+    run through the pipeline in blocks of at least 2048 (evaluation._row_blocks),
+    each written into the outputs, so the intermediates stay block-sized; up to
+    4096 rows are one call.  A block of that size matmuls with the bits of one
+    call over all rows, where a few dozen rows or one (a gemv) could round
+    otherwise.
     """
-    Z, (times, spaces) = embed_vars(model.params(), np.asarray(X, dtype=np.float64),
-                                    policy.zeta(model.generation_tag), mcfg)
-    return Z, times, spaces, uncertainty((times, spaces), mcfg)
+    X = np.asarray(X, dtype=np.float64)
+    params, zeta = model.params(), policy.zeta(model.generation_tag)
+
+    def embed(rows):
+        Z, (times, spaces) = embed_vars(params, rows, zeta, mcfg)
+        return Z, times, spaces, uncertainty((times, spaces), mcfg)
+
+    if X.ndim != 2 or len(blocks := _row_blocks(len(X))) == 1:
+        return embed(X)
+    out = None
+    for lo, hi in blocks:
+        parts = embed(X[lo:hi])
+        if out is None:
+            out = tuple(np.empty((len(X), *p.shape[1:]), p.dtype) for p in parts)
+        for o, p in zip(out, parts):
+            o[lo:hi] = p
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +235,10 @@ def _train_stack(X, y, num_classes, arch, mcfg, policy, tcfg, aligns, old_model)
         # would warn of raises, and the models train one at a time instead
         with np.errstate(**({} if len(aligns) == 1 else _RAISE)):
             _, old_times, old_spaces, old_unc = embed_batch(old_model, X, policy, mcfg)
+        # the cone constants of every train row, as a step would compute them
+        with np.errstate(all="ignore"):
+            old_batch = OldBatch.of((old_times, old_spaces),
+                                    [a for a in aligns if a.lambda_align > 0.0], mcfg)
     zeta = policy.zeta(generation)
 
     # one row per model of every parameter array and the head, flattened in order;
@@ -243,7 +266,7 @@ def _train_stack(X, y, num_classes, arch, mcfg, policy, tcfg, aligns, old_model)
             partial = len(rows) < len(aligns)
             a, v, g = ((params[rows], vel[rows], grads[rows]) if partial
                        else (params, vel, grads))
-            old = ((old_times[idx], old_spaces[idx]), old_unc[idx]) \
+            old = (old_batch.take(idx), old_unc[idx]) \
                 if not unaligned[rows].all() else (None, None)
             # a non-finite value raises on the tape or in the parameter check below;
             # numpy need not warn first

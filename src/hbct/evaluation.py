@@ -19,6 +19,7 @@ import hashlib
 import itertools
 import math
 import operator
+import os
 import struct
 import warnings
 from dataclasses import dataclass, fields
@@ -36,6 +37,18 @@ _INT32 = np.iinfo(np.int32)
 # relative hyperboloid defect a Lorentz row may carry; embed_batch and expm_origin
 # stay below 1e-15, an off-sheet row is of order 1
 _SHEET_TOL = 1e-9
+# rows per block of the write path: embedding, the store reader and writer and the
+# set checks walk their rows in blocks of at most this many, so their working memory
+# does not grow with the corpus
+_ROW_BLOCK = 4096
+
+
+def _row_blocks(n):
+    """(lo, hi) bounds that split n rows into ceil(n / _ROW_BLOCK) nearly equal
+    blocks: none is smaller than _ROW_BLOCK // 2 rows unless the whole input is,
+    and n <= _ROW_BLOCK (0 included) is one block."""
+    k = max(1, -(-n // _ROW_BLOCK))
+    return [(i * n // k, (i + 1) * n // k) for i in range(k)]
 
 
 def check_generation_tag(tag) -> int:
@@ -84,22 +97,31 @@ class EmbeddingSet:
             if self.points.shape[1] < 2:
                 raise InvalidArgumentError("Lorentz rows need a time and a space "
                                            "coordinate")
-        if not np.isfinite(self.points).all():
-            raise InvalidArgumentError("embedding points must be finite")
-        if self.geometry == "lorentz":
-            # the upper sheet: x_t > 0 and a relative defect |<x, x>_L + 1/K| / x_t^2
-            # within _SHEET_TOL, in one row-wise pass with no (N, W) temporary; an
-            # overflowing square makes the relative defect NaN, which fails too
-            P, t = self.points, self.points[:, 0]
-            signature = np.r_[-1.0, np.ones(P.shape[1] - 1)]
-            with np.errstate(all="ignore"):
-                defect = np.einsum("ij,ij,j->i", P, P, signature) + 1.0 / self.curvature_K
+        # a block at a time: a non-finite row anywhere is refused first, then the
+        # first row off the upper sheet, x_t > 0 with a relative defect
+        # |<x, x>_L + 1/K| / x_t^2 within _SHEET_TOL; an overflowing square makes the
+        # relative defect NaN, which fails too
+        P, lorentz, off = self.points, self.geometry == "lorentz", None
+        with np.errstate(all="ignore"):
+            if lorentz:
+                signature, inv_K = np.r_[-1.0, np.ones(P.shape[1] - 1)], 1.0 / self.curvature_K
+            for lo, hi in _row_blocks(len(P)):
+                block = P[lo:hi]
+                if not np.isfinite(block).all():
+                    raise InvalidArgumentError("embedding points must be finite")
+                if not lorentz or off is not None:
+                    continue
+                t = block[:, 0]
+                defect = np.einsum("ij,ij,j->i", block, block, signature) + inv_K
                 ok = (t > 0) & (np.abs(defect) / (t * t) <= _SHEET_TOL)
-            if not ok.all():
-                i = int(np.argmin(ok))
-                raise InvalidArgumentError(
-                    f"Lorentz row {i} is off the upper sheet of <x, x>_L = -1/K: "
-                    f"time {t[i]:.6g}, defect {defect[i]:.3g}")
+                if not ok.all():
+                    i = int(np.argmin(ok))
+                    off = lo + i, t[i], defect[i]
+        if off is not None:
+            i, t, defect = off
+            raise InvalidArgumentError(
+                f"Lorentz row {i} is off the upper sheet of <x, x>_L = -1/K: "
+                f"time {t:.6g}, defect {defect:.3g}")
 
     def __len__(self):
         return len(self.points)
@@ -380,36 +402,55 @@ def _record_dtype(width):
 
 
 def save_embedding_set(path, es: EmbeddingSet):
+    """Write ``es`` as a store, packing one reusable block of records at a time."""
     count, width = es.points.shape
     if count and (es.labels.min() < _INT32.min or es.labels.max() > _INT32.max):
         raise InvalidArgumentError("labels must fit in int32 to be stored")
-    records = np.empty(count, _record_dtype(width))
-    records["x"] = es.points
-    records["y"] = es.labels
+    blocks = _row_blocks(count)
+    records = np.empty(max(hi - lo for lo, hi in blocks), _record_dtype(width))
     with open(path, "wb") as f:
         f.write(_STORE_HEADER.pack(STORE_MAGIC, STORE_VERSION,
                                    _GEOMETRIES.index(es.geometry), count, width,
                                    es.curvature_K, es.generation_tag))
-        records.tofile(f)
+        for lo, hi in blocks:
+            block = records[:hi - lo]
+            block["x"] = es.points[lo:hi]
+            block["y"] = es.labels[lo:hi]
+            f.write(block)
 
 
 def load_embedding_set(path) -> EmbeddingSet:
+    """Read a store, checking its header and length before reading one reusable
+    block of records at a time into the set's points and labels."""
     with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < _STORE_HEADER.size or data[:4] != STORE_MAGIC:
-        raise InvalidArgumentError("not an HBCT embedding store (bad magic or short header)")
-    _, version, geom, count, width, K, generation = _STORE_HEADER.unpack_from(data)
-    if version != STORE_VERSION:
-        raise InvalidArgumentError(f"unsupported store version {version}")
-    if geom >= len(_GEOMETRIES):
-        raise InvalidArgumentError(f"unknown store geometry index {geom}")
-    record_size = 8 * width + 4  # the packed record, in Python ints: no overflow
-    expected = _STORE_HEADER.size + count * record_size
-    if len(data) != expected:
-        raise InvalidArgumentError(f"store is {len(data)} bytes, its header implies "
-                                   f"{expected}")
-    if record_size > _INT32.max:
-        raise InvalidArgumentError(f"store row width {width} is too large")
-    records = np.frombuffer(data, _record_dtype(width), count, _STORE_HEADER.size)
-    return EmbeddingSet(np.ascontiguousarray(records["x"]), records["y"],
-                        _GEOMETRIES[geom], K, generation)
+        header = f.read(_STORE_HEADER.size)
+        if len(header) < _STORE_HEADER.size or header[:4] != STORE_MAGIC:
+            raise InvalidArgumentError("not an HBCT embedding store (bad magic or short "
+                                       "header)")
+        _, version, geom, count, width, K, generation = _STORE_HEADER.unpack(header)
+        if version != STORE_VERSION:
+            raise InvalidArgumentError(f"unsupported store version {version}")
+        if geom >= len(_GEOMETRIES):
+            raise InvalidArgumentError(f"unknown store geometry index {geom}")
+        record_size = 8 * width + 4  # the packed record, in Python ints: no overflow
+        expected = _STORE_HEADER.size + count * record_size
+        size = os.fstat(f.fileno()).st_size
+        if size != expected:
+            raise InvalidArgumentError(f"store is {size} bytes, its header implies "
+                                       f"{expected}")
+        if record_size > _INT32.max:
+            raise InvalidArgumentError(f"store row width {width} is too large")
+        points, labels = np.empty((count, width)), np.empty(count, np.int64)
+        blocks, record = _row_blocks(count), _record_dtype(width)
+        raw = np.empty(max(hi - lo for lo, hi in blocks) * record_size, np.uint8)
+        for lo, hi in blocks:
+            block = raw[:(hi - lo) * record_size]
+            read = f.readinto(block)
+            if read != len(block):  # the file shrank after its length was checked
+                size = _STORE_HEADER.size + lo * record_size + read
+                raise InvalidArgumentError(f"store is {size} bytes, its header implies "
+                                           f"{expected}")
+            records = block.view(record)
+            points[lo:hi] = records["x"]
+            labels[lo:hi] = records["y"]
+    return EmbeddingSet(points, labels, _GEOMETRIES[geom], K, generation)

@@ -10,7 +10,9 @@ evaluates on plain arrays (tests, oracles) and records one node on a tape
 (training); mean distortion is the fused mean of the fused distance.  The old
 generation is frozen, so the cone's apex, its norm and its aperture are
 constants: the cone formulas differentiate the new point only, the aperture
-is a plain-array function, and an old batch given as a Var is refused.
+is a plain-array function, and an old batch given as a Var is refused.  A
+training run works the old norms and apertures out once, as an
+:class:`OldBatch`, and gathers them per step.
 Per-sample terms come back with the batch shape, so a single point gives a
 scalar.  Points may also be given as LorentzPoints or lists of points (see
 :func:`hbct.manifold.points`).  The MLR logits and base loss also take a
@@ -174,12 +176,43 @@ def base_loss(h, labels, head, mcfg: ManifoldConfig):
 # ---------------------------------------------------------------------------
 # Entailment cone: the old batch is frozen, so its cone is constants
 
+class OldBatch(tuple):
+    """A frozen old batch: the (times, spaces) pair of its points, carrying the
+    constants of its entailment cones, worked out once for a training run and
+    gathered per step.  ``norms`` holds the space norms and ``apertures`` the
+    aperture at each (epsilon_aperture, curvature_K) it was made for; each value
+    has the bits of computing it on the gathered rows alone."""
+
+    def __new__(cls, times, spaces, norms, apertures):
+        batch = super().__new__(cls, (times, spaces))
+        batch.norms, batch.apertures = norms, apertures
+        return batch
+
+    @classmethod
+    def of(cls, h_o, cfgs, mcfg: ManifoldConfig):
+        """The old batch h_o with its norms, and its aperture under each of ``cfgs``."""
+        times, spaces, norms = _frozen(h_o)
+        return cls(times, spaces, norms, {_cone_key(cfg, mcfg): _aperture(norms, cfg, mcfg)
+                                          for cfg in cfgs})
+
+    def take(self, idx):
+        """The rows ``idx`` of the batch and of its constants."""
+        return OldBatch(self[0][idx], self[1][idx], self.norms[idx],
+                        {key: a[idx] for key, a in self.apertures.items()})
+
+
+def _cone_key(cfg, mcfg):
+    return cfg.epsilon_aperture, mcfg.curvature_K
+
+
 def _frozen(h_o):
     """(times, spaces, space norms) of an old batch, which may not be a Var."""
     times, spaces = points(h_o)
     if type(times) is ad.Var or type(spaces) is ad.Var:
         raise InvalidArgumentError("the old batch is frozen: pass it as plain arrays, "
                                    "not Vars")
+    if isinstance(h_o, OldBatch):
+        return times, spaces, h_o.norms
     return times, spaces, np.linalg.norm(spaces, axis=-1)
 
 
@@ -197,7 +230,13 @@ def aperture(h_o, cfg: AlignmentConfig, mcfg: ManifoldConfig):
     asin(2*eps / (sqrt(K) ||h_o_space||)), saturating at pi/2 once the point
     is close enough to the origin (including exactly at it).
     """
-    return _aperture(_frozen(h_o)[2], cfg, mcfg)
+    return _cone_aperture(h_o, _frozen(h_o)[2], cfg, mcfg)
+
+
+def _cone_aperture(h_o, norms, cfg, mcfg):
+    """The aperture at h_o: an OldBatch's own, where it was made for cfg and mcfg."""
+    ap = h_o.apertures.get(_cone_key(cfg, mcfg)) if isinstance(h_o, OldBatch) else None
+    return _aperture(norms, cfg, mcfg) if ap is None else ap
 
 
 def _exterior(rec, n_times, n_spaces, o_times, o_spaces, o_norm, K):
@@ -263,7 +302,7 @@ def entailment_loss(h_n, h_o, cfg: AlignmentConfig, mcfg: ManifoldConfig):
     the new point h_n."""
     old = _frozen(h_o)
     return ad.formula(_entail, _entail_vjp, points(h_n), *old, mcfg.curvature_K,
-                      _aperture(old[2], cfg, mcfg))
+                      _cone_aperture(h_o, old[2], cfg, mcfg))
 
 
 # ---------------------------------------------------------------------------

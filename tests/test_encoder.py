@@ -2,6 +2,7 @@
 alignment switch-off equivalence, divergence handling, checkpoint format."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hbct import encoder
-from hbct.encoder import (ClipPolicy, EncoderModel, TrainConfig, embed_batch,
+from hbct import losses
+from hbct.encoder import (ClipPolicy, EncoderModel, TrainConfig, embed_batch, embed_vars,
                           load_checkpoint, save_checkpoint, train_new, train_old, train_stack)
 from hbct.errors import InvalidArgumentError, TrainingFailureError
 from hbct.losses import AlignmentConfig, mlr_logits, total_loss
-from hbct.manifold import LorentzPoint, ManifoldConfig, on_manifold_defect
+from hbct.manifold import LorentzPoint, ManifoldConfig, on_manifold_defect, uncertainty
 from hbct.scenarios import SyntheticDatasetSpec, generate_dataset
 
 MCFG = ManifoldConfig(1.0, 4)
@@ -53,6 +55,38 @@ class TestEmbed:
         for time, space in zip(times, spaces):
             assert on_manifold_defect(LorentzPoint(time, space), MCFG) <= 1e-9
         assert np.all(unc >= 0.0) and np.all(unc <= 1.0)
+
+    @pytest.mark.parametrize("n", [1, 2, 4095, 4096, 4097, 8193, 12287])
+    def test_row_blocks_keep_the_bits(self, n):
+        # embed_batch walks the rows in blocks of 2048 to 4096; each block matmuls with
+        # the bits of one call over all rows, at 1, 2 or 3 blocks and their edges
+        rng = np.random.default_rng(n)
+        for input_dim in (3, 16, 100):
+            X = rng.normal(size=(n, input_dim))
+            for arch in ((), (16,), (16, 16)):
+                model = EncoderModel.init(input_dim, arch, 8, rng, generation_tag=1)
+                mcfg = ManifoldConfig(1.0, 8)
+                Z, (times, spaces) = embed_vars(model.params(), X, POLICY.zeta(1), mcfg)
+                whole = (Z, times, spaces, uncertainty((times, spaces), mcfg))
+                got = embed_batch(model, X, POLICY, mcfg)
+                assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
+                           for a, b in zip(got, whole))
+
+    def test_working_memory_is_the_result(self):
+        # above one block, the intermediates stay block-sized: the traced peak is the
+        # four outputs plus about one block's worth
+        rng = np.random.default_rng(2)
+        model = EncoderModel.init(16, (16,), 8, rng)
+        X = rng.normal(size=(200_000, 16))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out = embed_batch(model, X, POLICY, ManifoldConfig(1.0, 8))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        result = sum(a.nbytes for a in out)
+        assert peak <= result + 4 * 2**20, (peak, result)
 
 
 class TestClipPolicy:
@@ -270,6 +304,48 @@ class TestTrainStack:
         assert failure(lambda: train_stack(X, y, 2, old, aligns, MCFG, POLICY, tcfg)) == first
         assert first.startswith("non-finite parameters at step 0" if case == "star"
                                 else "loss diverged at step 0: non-finite primal")
+
+
+class TestOldBatch:
+    """A run works out the frozen old batch's norms and apertures once; a step's
+    gathered rows carry the bits a step would compute on them."""
+
+    def test_gathered_constants_keep_the_bits(self):
+        rng = np.random.default_rng(8)
+        mcfg = ManifoldConfig(0.5, 3)
+        model = EncoderModel.init(4, (5,), 3, rng)
+        X = rng.normal(size=(300, 4)) * rng.uniform(0.01, 3.0, size=(300, 1))
+        _, times, spaces, _ = embed_batch(model, X, POLICY, mcfg)
+        cfgs = [AlignmentConfig(), AlignmentConfig(epsilon_aperture=0.7)]
+        run = losses.OldBatch.of((times, spaces), cfgs, mcfg)
+        idx = rng.permutation(300)[:16]
+        batch, plain = run.take(idx), (times[idx], spaces[idx])
+        new = embed_batch(EncoderModel.init(4, (), 3, rng), X[idx], POLICY, mcfg)[1:3]
+        for cfg in cfgs:
+            assert losses.aperture(batch, cfg, mcfg).tobytes() == \
+                losses.aperture(plain, cfg, mcfg).tobytes()
+            assert losses.entailment_loss(new, batch, cfg, mcfg).tobytes() == \
+                losses.entailment_loss(new, plain, cfg, mcfg).tobytes()
+        assert losses.exterior_angle(batch, new, cfgs[0], mcfg).tobytes() == \
+            losses.exterior_angle(plain, new, cfgs[0], mcfg).tobytes()
+        # a config it was not made for falls back to computing the aperture
+        other = AlignmentConfig(epsilon_aperture=0.2)
+        assert losses.aperture(batch, other, mcfg).tobytes() == \
+            losses.aperture(plain, other, mcfg).tobytes()
+
+    def test_apertures_once_per_run(self, monkeypatch):
+        # one aperture per aligned config for the whole run, none per step
+        rng = np.random.default_rng(9)
+        X, y = two_gaussians(rng, n=16)
+        tcfg = TrainConfig(epochs=2, batch_size=8, seed=2)
+        old, _, _ = train_old(X, y, 2, MCFG, POLICY, tcfg, arch=())
+        calls = []
+        aperture = losses._aperture
+        monkeypatch.setattr(losses, "_aperture", lambda *a: calls.append(1) or aperture(*a))
+        aligns = [AlignmentConfig(lambda_align=0.0), AlignmentConfig(),
+                  AlignmentConfig(epsilon_aperture=0.3)]
+        train_stack(X, y, 2, old, aligns, MCFG, POLICY, tcfg)
+        assert len(calls) == 2
 
 
 class TestCheckpoint:

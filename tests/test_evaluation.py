@@ -3,7 +3,9 @@ ranking memo, compatibility metric arithmetic, inputs that evaluation must
 refuse, and the embedding store format."""
 
 import math
+import re
 import struct
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -825,3 +827,98 @@ class TestEmbeddingStore:
     def test_unknown_geometry_rejected(self):
         with pytest.raises(InvalidArgumentError):
             EmbeddingSet(np.zeros((1, 2)), [0], "spherical")
+
+
+class TestRowBlocks:
+    """The store and the set checks walk rows in blocks; with a block of 1, 3 or 7
+    rows they behave as with one block."""
+
+    @pytest.fixture(params=[1, 3, 7])
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(evaluation, "_ROW_BLOCK", request.param)
+        return request.param
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 4095, 4096, 4097, 8193])
+    def test_bounds(self, n):
+        blocks = evaluation._row_blocks(n)
+        assert blocks[0][0] == 0 and blocks[-1][1] == n
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert len(blocks) == max(1, math.ceil(n / 4096))
+        sizes = [hi - lo for lo, hi in blocks]
+        assert max(sizes) - min(sizes) <= 1 and (min(sizes) >= 2048 or len(blocks) == 1)
+
+    @pytest.mark.parametrize("geometry", ["lorentz", "euclidean"])
+    def test_golden_bytes_and_round_trip(self, tmp_path, block, geometry):
+        rng = np.random.default_rng(60)
+        points = rng.normal(size=(10, 3))
+        if geometry == "lorentz":
+            points = on_sheet(points[:, 1:], K=0.75)
+        labels = rng.integers(-5, 5, size=10)
+        es = EmbeddingSet(points, labels, geometry, 0.75, 4)
+        expected = struct.pack("<4sIIIIdi", b"HBCT", 1,
+                               ("euclidean", "lorentz").index(geometry), 10, 3, 0.75, 4)
+        for row, label in zip(points, labels):
+            expected += struct.pack("<3di", *row, label)
+        path = tmp_path / "set.emb"
+        save_embedding_set(path, es)
+        assert path.read_bytes() == expected
+        back = load_embedding_set(path)
+        assert back.points.tobytes() == points.tobytes() and back.points.flags.c_contiguous
+        assert back.labels.dtype == np.int64 and back.labels.tolist() == labels.tolist()
+        assert (back.geometry, back.curvature_K, back.generation_tag) == (geometry, 0.75, 4)
+
+    def test_empty_store(self, tmp_path, block):
+        path = tmp_path / "empty.emb"
+        save_embedding_set(path, EmbeddingSet(np.empty((0, 5)), [], "euclidean"))
+        assert path.stat().st_size == 32
+        back = load_embedding_set(path)
+        assert back.points.shape == (0, 5) and back.labels.shape == (0,)
+
+    def test_length_off_by_one_at_a_block_edge(self, tmp_path, block):
+        path = tmp_path / "set.emb"
+        save_embedding_set(path, lorentz_set(np.random.default_rng(61), 10))
+        data = path.read_bytes()
+        edge = 32 + evaluation._row_blocks(10)[0][1] * (len(data) - 32) // 10
+        for size in (edge - 1, edge + 1, len(data) - 1, len(data) + 1):
+            path.write_bytes(data[:size] + b"\x00" * (size - len(data)))
+            with pytest.raises(InvalidArgumentError, match=f"store is {size} bytes, its "
+                                                           f"header implies {len(data)}"):
+                load_embedding_set(path)
+
+    @pytest.mark.parametrize("defect", ["nan", "off sheet", "both"])
+    def test_bad_row_in_a_later_block(self, tmp_path, block, defect):
+        # the message names the global row; a non-finite row anywhere is refused
+        # first, as over one block
+        points = lorentz_set(np.random.default_rng(62), 10).points
+        second, last = evaluation._row_blocks(10)[1][0] + 1, 9
+        if defect != "nan":
+            points[second, 0] = -points[second, 0]
+        if defect != "off sheet":
+            points[last, 1] = math.nan
+        message = ("must be finite" if defect != "off sheet"
+                   else f"Lorentz row {second} is off the upper sheet of <x, x>_L = -1/K: "
+                        f"time {points[second, 0]:.6g}, defect ")
+        with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+            EmbeddingSet(points, np.zeros(10, int))
+        path = tmp_path / "bad.emb"
+        path.write_bytes(struct.pack("<4sIIIIdi", b"HBCT", 1, 1, 10, 4, 1.0, 0) + b"".join(
+            struct.pack("<4di", *row, 0) for row in points))
+        with pytest.raises(InvalidArgumentError, match=re.escape(message)):
+            load_embedding_set(path)
+
+    def test_load_memory_is_the_result(self, tmp_path):
+        # the reader holds one block of records besides the set it returns
+        rng, n = np.random.default_rng(63), 200_000
+        es = EmbeddingSet(on_sheet(rng.normal(size=(n, 8))), rng.integers(0, 20, n))
+        path = tmp_path / "big.emb"
+        save_embedding_set(path, es)
+        del es
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            back = load_embedding_set(path)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        result = back.points.nbytes + back.labels.nbytes
+        assert peak <= result + 4 * 2**20, (peak, result)
