@@ -8,9 +8,12 @@ off the upper sheet of its hyperboloid, an empty set or an inner product that
 overflows float64.  Galleries are scanned exactly (no ANN index), a block of
 queries at a time; ties break toward the lower gallery index so rankings are
 deterministic.  CMC@k and mAP are read off each query's ranks of its
-same-label gallery items, found without sorting gallery indices; each query's
-first relevant rank and AP are kept for the last (queries, gallery) pair, so
-several metrics on one pair rank it once.
+same-label gallery items, found without sorting gallery indices: a block of
+many query rows with few relevant items each is ranked with whole-block array
+calls (one sorted search per block), any other block, and any row whose
+distances repeat, one row at a time, with the same bits.  Each query's first
+relevant rank and AP are kept for the last (queries, gallery) pair, so several
+metrics on one pair rank it once.
 """
 
 from __future__ import annotations
@@ -136,6 +139,10 @@ class EmbeddingSet:
 # distance entries per query block: a block of max(1, _BLOCK // len(gallery))
 # queries is ranked at once, which bounds the working memory
 _BLOCK = 1 << 14
+# a block is ranked in whole-block calls when it has at least _WHOLE_ROWS rows and at
+# most _WHOLE_ITEMS relevant items per row on average: those calls cost about 35 us
+# a block plus 0.1 us per relevant item, the per-row rule about 5 us a row
+_WHOLE_ROWS, _WHOLE_ITEMS = 8, 32
 
 
 def _gallery_column(gallery: EmbeddingSet) -> np.ndarray:
@@ -218,20 +225,69 @@ def _check_pairing(queries: EmbeddingSet, gallery: EmbeddingSet):
         raise InvalidArgumentError("empty gallery")
 
 
+def _rank_row(row, srow, rel, tied):
+    """(first, ap) of one query row from its distances ``row``, their value-sorted
+    copy ``srow`` and its relevant gallery indices ``rel`` (at least one).  An
+    item's rank is the count of smaller distances in ``srow``, by binary search,
+    plus, on a ``tied`` row, the count of equal distances at lower gallery indices.
+    The relevant distances are searched in sorted order, so the ranks come out
+    ascending."""
+    dist = np.sort(row[rel])
+    ranks = srow.searchsorted(dist)
+    if tied:  # equal distances at lower gallery indices rank first
+        # each repeated value is handled on its own, so a set of them serves (np.unique
+        # would import numpy.ma on its first call in a process)
+        for v in set(dist[srow.searchsorted(dist, "right") - ranks > 1].tolist()):
+            # below the next value's rank, so the ranks stay ascending
+            ranks[dist == v] += (row == v).nonzero()[0].searchsorted(rel[row[rel] == v])
+    # the pairwise sum and the one division of ndarray.mean, without its wrapper
+    return ranks[0], np.add.reduce(np.arange(1, len(ranks) + 1) / (ranks + 1)) / len(ranks)
+
+
+def _rank_block(d, s, same, table, first, ap):
+    """_rank_row's (first, ap), written into ``first`` and ``ap``, for every row of a
+    block of untied rows that has a relevant item, in whole-block calls.  Each
+    relevant item is keyed by (row, distance) as a complex number, whose order is
+    lexicographic; the keys are sorted and searched in ``table``, the block's
+    value-sorted rows laid end to end as (row, distance), so a key's position less
+    its row's offset counts the smaller distances in its row.  AP sums each row's
+    precisions along a row of a (rows, R) gather, the pairwise sum of a 1-d reduce,
+    once per relevant count R."""
+    cols = d.shape[1]
+    idx = np.flatnonzero(same)
+    count = np.count_nonzero(same, axis=1)
+    row = idx // cols
+    keys = np.empty(len(idx), complex)
+    keys.real, keys.imag = row, d.ravel()[idx]
+    keys.sort()  # rows stay in place, each row's distances ascend
+    table.imag = s
+    ranks = table.ravel().searchsorted(keys) - row * cols
+    lo = np.cumsum(count) - count
+    prec = (np.arange(len(idx)) - lo[row] + 1) / (ranks + 1)
+    for r in set(count.tolist()) - {0}:
+        rows = np.flatnonzero(count == r)
+        first[rows] = ranks[lo[rows]]
+        ap[rows] = np.add.reduce(prec[lo[rows, None] + np.arange(r)], axis=1) / r
+
+
 def _rank_pair(queries: EmbeddingSet, gallery: EmbeddingSet):
     """(first, ap) per query of a pair that _check_pairing accepted: its first
     relevant rank (inf when it has none) and AP (NaN when it has none), its own
-    row dropped when ``queries is gallery``.  Ranks are read per query row, with
-    no gallery index sorted: an item's rank is the count of smaller distances in
-    its value-sorted row, by binary search, plus the count of equal distances at
-    lower gallery indices, which runs only on rows whose distances repeat.  The
-    relevant distances are searched in sorted order, so the ranks come out
-    ascending; the block arrays are allocated once per call and filled in place."""
+    row dropped when ``queries is gallery``.  No gallery index is sorted: ranks
+    are read off each block's value-sorted rows by binary search.  A block of at
+    least _WHOLE_ROWS rows with at most _WHOLE_ITEMS relevant items per row is
+    ranked in whole-block calls (_rank_block), but for its rows whose distances
+    repeat; those rows, and every row of any other block, take the per-row rule
+    (_rank_row).  The block arrays are allocated once per call and filled in
+    place."""
     self_mode, column = queries is gallery, _gallery_column(gallery)
     first, ap = np.full(len(queries), np.inf), np.full(len(queries), np.nan)
     step = min(len(queries), max(1, _BLOCK // len(gallery)))
     # the block arrays: the distances, their sorted copy and the label mask
     blocks = [np.empty((step, len(gallery)), dtype) for dtype in (float, float, bool)]
+    if step >= _WHOLE_ROWS:  # _rank_block's search table; its real part is the row index
+        table = np.empty((step, len(gallery)), complex)
+        table.real = np.arange(step)[:, None]
     for start in range(0, len(queries), step):
         n = min(step, len(queries) - start)
         d, s, same = (b[:n] for b in blocks)
@@ -244,17 +300,16 @@ def _rank_pair(queries: EmbeddingSet, gallery: EmbeddingSet):
         s[:] = d
         s.sort(axis=1)
         tied = (s[:, 1:] == s[:, :-1]).any(axis=1)
-        for i in np.flatnonzero(same.any(axis=1)):
-            row, srow, rel = d[i], s[i], same[i].nonzero()[0]
-            dist = np.sort(row[rel])  # sorted keys give ascending ranks
-            ranks = srow.searchsorted(dist)
-            if tied[i]:  # equal distances at lower gallery indices rank first
-                for v in np.unique(dist[srow.searchsorted(dist, "right") - ranks > 1]):
-                    # below the next value's rank, so the ranks stay ascending
-                    ranks[dist == v] += (row == v).nonzero()[0].searchsorted(rel[row[rel] == v])
-            first[start + i] = ranks[0]
-            # the pairwise sum and the one division of ndarray.mean, without its wrapper
-            ap[start + i] = np.add.reduce(np.arange(1, len(ranks) + 1) / (ranks + 1)) / len(ranks)
+        whole = n >= _WHOLE_ROWS and np.count_nonzero(same) <= _WHOLE_ITEMS * n
+        rows = same.any(axis=1)
+        if whole:
+            rows &= tied
+        for i in np.flatnonzero(rows):
+            first[start + i], ap[start + i] = _rank_row(d[i], s[i], same[i].nonzero()[0],
+                                                        tied[i])
+        if whole:
+            same[tied] = False  # ranked above
+            _rank_block(d, s, same, table[:n], first[start:start + n], ap[start:start + n])
     return first, ap
 
 

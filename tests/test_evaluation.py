@@ -3,8 +3,12 @@ ranking memo, compatibility metric arithmetic, inputs that evaluation must
 refuse, and the embedding store format."""
 
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
 from unittest import mock
@@ -384,6 +388,17 @@ _MIRRORED = _line(np.r_[0.4 * np.arange(1, 11), -0.4 * np.arange(1, 11), 5.0],
                   np.arange(21) % 3)
 _MIRRORED_ORIGIN = _line(np.r_[0.0, 0.4 * np.arange(1, 6), -0.4 * np.arange(1, 6), 0.3],
                          np.arange(12) % 3)
+# _MIRRORED's points with 12, 6 and 3 items of classes 0, 1 and 2
+_MIRRORED_UNEVEN = EmbeddingSet(_MIRRORED.points, np.repeat([0, 1, 2], [12, 6, 3]))
+
+
+def _balanced(seed):
+    """72 Lorentz rows, 6 of each of 12 classes: the shape of a perfbench `matrix` pair."""
+    return EmbeddingSet(_rows(np.random.default_rng(seed), 72, 3, "lorentz", None),
+                        np.arange(72) % 12)
+
+
+_BALANCED = _balanced(53)
 
 
 class TestBlockedRanking:
@@ -405,6 +420,14 @@ class TestBlockedRanking:
     @example(case=(_line([0.0, 0.3, 0.7, 0.0], [0, 1, 2, 1]), _MIRRORED, 1))
     # self mode, one query row per block: only the row at 0 ties
     @example(case=(_MIRRORED_ORIGIN, _MIRRORED_ORIGIN, 1))
+    # one block of 8 rows whose untied rows have 12 (past a pairwise-summation block
+    # of 8), 6 and 3 relevant items, a row with none, and a tied row (the query at 0)
+    @example(case=(_line([0.3, 0.7, 0.0, 0.3, 0.1, 0.5, 0.9, 1.3], [0, 9, 1, 2, 0, 1, 2, 0]),
+                   _MIRRORED_UNEVEN, 1 << 14))
+    # 12 classes x 6 rows in one block, cross mode (6 relevant items per query) and
+    # self mode (5)
+    @example(case=(_balanced(54), _BALANCED, 1 << 14))
+    @example(case=(_BALANCED, _BALANCED, 1 << 14))
     def test_matches_lexsort_oracle(self, case):
         queries, gallery, block = case
         ks = sorted({1, 2, 5, len(gallery)})
@@ -458,6 +481,33 @@ class TestBlockedRanking:
             retrieve(queries.points[0], gallery)
         # one ranking pass serves cmc@1 and map; retrieve makes the other
         assert len(calls) == 2 and all(g is gallery for g in calls)
+
+    def test_tied_ranking_imports_no_masked_arrays(self):
+        # numpy.ma costs 10-16 ms to import; np.unique imports it on its first call in a
+        # process, so a fresh process shows whether ranking reaches it
+        script = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from hbct import evaluation
+            def line(xs, labels):
+                xs = np.array(xs)
+                return evaluation.EmbeddingSet(np.column_stack([np.sqrt(1 + xs ** 2), xs]),
+                                               labels)
+            gallery = line([0.0, 1.0, -1.0, 2.0], [0, 1, 0, 0])
+            # the rows at 0 are tied (1 and -1 mirror each other), the rows at 0.3 are not
+            queries = line([0.0, 0.3] * 4, [0, 1] * 4)
+            values = []
+            for block in (1 << 14, 1):  # one block of eight rows, then one-row blocks
+                evaluation._BLOCK, evaluation._last_ranking = block, None
+                values.append(evaluation.evaluate_metric(queries, gallery, "map"))
+            print(values[0] == values[1], "numpy.ma" in sys.modules)
+        """)
+        src = os.path.dirname(os.path.dirname(evaluation.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, check=True, timeout=60).stdout
+        assert out.split() == ["True", "False"]
 
 
 @pytest.fixture

@@ -217,9 +217,10 @@ def step_inputs(seed, batch, K, arch, clip_q):
     norms, so some rows clip and others do not; head row 1 is degenerate.
     From 2 rows on, row 0 embeds at the origin (series branch of the expmap)
     and old row 1 is near the origin (saturated aperture).  From 5 rows on,
-    old row 2 equals the new point (the c^2 - 1 clamp), and old rows 3 and 4
-    sit on the rays through the new point (acos argument at or beyond +1 and
-    -1)."""
+    old row 2 equals the new point, which sits near the origin (the c^2 - 1
+    clamp: far out, c^2 - 1 of a point with itself rounds above the clamp), and
+    old rows 3 and 4 sit on the rays through the new point (acos argument at or
+    beyond +1 and -1)."""
     rng = np.random.default_rng(seed)
     mcfg = ManifoldConfig(K, D)
     dims = [D_IN, *arch, D]
@@ -230,6 +231,8 @@ def step_inputs(seed, batch, K, arch, clip_q):
     X = rng.normal(size=(batch, D_IN)) * rng.uniform(0.1, 3.0, size=(batch, 1))
     if batch > 1:
         X[0] = 0.0  # zero biases: the row embeds exactly at the origin
+    if batch > 4:
+        X[2] *= 0.1 / np.linalg.norm(X[2])
     h = X
     for i in range(0, len(params), 2):
         h = (np.tanh(h) if i else h) @ params[i].T + params[i + 1]
@@ -298,6 +301,8 @@ KINDS = [dict(contrast_kind="rince"), dict(contrast_kind="rince", q_mode="fixed"
 # that once rounded apart (-1.0 against -0.9999999999999998)
 @example(seed=1793179633, batch=16, K=0.5, arch=(), clip_q=0.593847149027859,
          kind=dict(contrast_kind="rince"))
+# old row 2 once equalled a new point at time 127, where c^2 - 1 read 1.5e-11
+@example(seed=10340, batch=16, K=2.0, arch=(), clip_q=0.75, kind=dict(contrast_kind="rince"))
 @given(seed=st.integers(0, 2**32 - 1), batch=st.sampled_from([1, 2, 16]),
        K=st.sampled_from([0.5, 1.0, 2.0]), arch=st.sampled_from([(), (HIDDEN,)]),
        clip_q=st.floats(0.2, 0.8), kind=st.sampled_from(KINDS))
